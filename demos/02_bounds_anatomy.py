@@ -8,7 +8,7 @@ one point, squeezing the interval there and nearby.
 
 import numpy as np
 
-from hsvi import Belief, PomdpModel, init_bounds, local_update, q_value
+from hsvi import Belief, PomdpModel, expand, init_bounds, local_update
 
 rng = np.random.default_rng(7)
 NS, NA, NO = 3, 2, 2
@@ -40,9 +40,9 @@ for i in range(10):
           f"  |points|={bounds.upper.num_points}")
 
 print("\naction values against each bound at b0:")
+lower_q = expand(model, bounds.lower.value, b0)
+upper_q = expand(model, bounds.upper.value, b0)
 for a in range(NA):
-    lo = q_value(model, bounds, "lower", b0, a)
-    hi = q_value(model, bounds, "upper", b0, a)
-    print(f"  action {a}: Q in [{lo:.4f}, {hi:.4f}]")
+    print(f"  action {a}: Q in [{lower_q[a].q:.4f}, {upper_q[a].q:.4f}]")
 print("\nThe update at a single belief also tightened its neighborhood;")
 print("that generalization is what makes the representations worthwhile.")

@@ -13,21 +13,18 @@ from .bounds import (
     LowerBound,
     UpperBound,
     backup_lower,
+    expand,
     init_bounds,
     init_lower,
     init_upper,
     local_update,
-    lower_value,
     mdp_value_iteration,
     prune_lower,
     prune_upper,
-    q_value,
-    upper_value,
 )
 from .errors import (
     DepthCapExceeded,
     HsviError,
-    Infeasible,
     InvalidParams,
     LpFailure,
     MaxIterations,
@@ -49,7 +46,7 @@ from .fileio import (
     save_policy,
     write_pomdp,
 )
-from .lp import LpProblem, LpSolution, hull_projection, solve_lp
+from .lp import LpSolution, hull_projection
 from .model import (
     Belief,
     PomdpModel,
@@ -74,5 +71,3 @@ from .solver import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -14,6 +14,7 @@ its size at the previous pruning.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .lp import projection_lp
 from .model import (
     Belief,
     ValueInterval,
-    expected_reward,
+    expected_rewards_all_actions,
     successor_distributions,
 )
 
@@ -270,52 +271,46 @@ def init_bounds(model):
     return BoundsPair(init_lower(model), init_upper(model))
 
 
-# -- evaluation --------------------------------------------------------------
+# -- one-step lookahead ------------------------------------------------------
 
 
-def lower_value(lb, b):
-    """max over stored vectors of alpha . b."""
-    return lb.value(b)
+class Branch(NamedTuple):
+    """One action's successors at a belief: Pr(o|b,a), τ(b,a,o) (None where
+    the observation has ~zero probability), each child's value, and Q(b,a)."""
+
+    obs_probs: np.ndarray
+    posteriors: list
+    values: list
+    q: float
 
 
-def upper_value(ub, b):
-    """Hull projection over the point set; exact stored value at corners."""
-    return ub.value(b)
+def expand(model, value, b):
+    """One-step lookahead at b against the value function ``value``.
 
-
-def q_value(model, bounds, side, b, a):
-    """One-step lookahead value of action a at belief b against one bound.
-
-    Q(b,a) = Σ_s R(s,a) b(s) + discount * Σ_o Pr(o|b,a) V(τ(b,a,o)), with the
-    observation sum restricted to observations of positive probability.
+    Returns one Branch per action, with
+    Q(b,a) = Σ_s R(s,a) b(s) + discount * Σ_o Pr(o|b,a) V(τ(b,a,o)), the
+    observation sum restricted to observations of positive probability. Each
+    action's successors are computed once and each child is valued once, so
+    the action choice, the observation choice and the update at b all share
+    one expansion.
     """
-    if side == "lower":
-        child = bounds.lower.value
-    elif side == "upper":
-        child = bounds.upper.value
-    else:
-        raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
-    obs_probs, posteriors = successor_distributions(model, b, a)
-    future = 0.0
-    for o, posterior in enumerate(posteriors):
-        if posterior is not None:
-            future += obs_probs[o] * child(posterior)
-    return expected_reward(model, b, a) + model.discount * future
+    immediate = expected_rewards_all_actions(model, b)
+    branches = []
+    for a in range(model.num_actions):
+        obs_probs, posteriors = successor_distributions(model, b, a)
+        values = [None if posterior is None else value(posterior) for posterior in posteriors]
+        future = 0.0
+        for prob, child in zip(obs_probs, values):
+            if child is not None:
+                future += prob * child
+        branches.append(Branch(obs_probs, posteriors, values,
+                               immediate[a] + model.discount * future))
+    return branches
 
 
 def upper_bellman(model, ub, b):
     """max_a Q(b,a) against the upper bound."""
-    best = -np.inf
-    for a in range(model.num_actions):
-        obs_probs, posteriors = successor_distributions(model, b, a)
-        total = expected_reward(model, b, a)
-        gamma = model.discount
-        for o, posterior in enumerate(posteriors):
-            if posterior is not None:
-                total += gamma * obs_probs[o] * ub.value(posterior)
-        if total > best:
-            best = total
-    return best
+    return max(branch.q for branch in expand(model, ub.value, b))
 
 
 # -- local updates -----------------------------------------------------------
@@ -339,10 +334,8 @@ def backup_lower(model, lb, b):
         obs_probs, posteriors = successor_distributions(model, b, a)
         folded = np.zeros(model.num_states)
         for o, posterior in enumerate(posteriors):
-            if posterior is None:
-                continue
-            chosen = int((matrix[:, posterior.states] @ posterior.probs).argmax())
-            folded += model.observation[a][:, o] * matrix[chosen]
+            if posterior is not None:
+                folded += model.observation[a][:, o] * matrix[lb.best_index(posterior)]
         candidate = model.reward[a] + gamma * (model.transition[a] @ folded)
         score = b.dot(candidate)
         if score > best_score:

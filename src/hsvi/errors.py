@@ -39,10 +39,6 @@ class LpFailure(HsviError):
     """Base class for linear-program solver failures."""
 
 
-class Infeasible(LpFailure):
-    """No feasible point. For hull projections this indicates a caller bug."""
-
-
 class Unbounded(LpFailure):
     """The LP objective is unbounded below."""
 

@@ -1,16 +1,22 @@
 """Dense linear-program kernel for convex-hull projections.
 
-Solves small equality-form problems
+A hull projection of a query q onto a point set {(p_i, v_i)} is the LP
 
-    minimize    c . x
-    subject to  A x = b,  x >= 0
+    minimize    Σ λ_i v_i
+    subject to  Σ λ_i p_i = q,  Σ λ_i = 1,  λ >= 0
 
-with a primal simplex. Pivoting is steepest-descent (Dantzig) until progress
-stalls on degenerate pivots, then switches permanently to Bland's rule, whose
-lowest-index discipline rules out cycling; ties in the ratio test always
-break toward the lowest basic index, so runs are deterministic. The problems
-solved here are tiny (a hull projection has |support|+1 constraints), so a
-dense tableau with a hard iteration cap is the robust choice.
+and the point set always holds the simplex corners of q's support. Those
+corner columns form a primal-feasible basis (their weights are q's masses),
+so the primal simplex never needs a phase 1: it starts from the caller's
+warm basis when that is still feasible, else from the corner basis.
+Pivoting is steepest-descent (Dantzig) until progress stalls on degenerate
+pivots, then switches permanently to Bland's rule, whose lowest-index
+discipline rules out cycling; ties in the ratio test always break toward the
+lowest basic index, so runs are deterministic. The problems are tiny (one
+row per support state), so a dense tableau with a hard iteration cap is the
+robust choice. On near-degenerate point sets, pivots on tiny coefficients
+can still stall both starts at the cap; the same LP then goes to scipy's
+HiGHS, whose answer is checked for feasibility before it is used.
 """
 
 from __future__ import annotations
@@ -19,38 +25,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Infeasible, MaxIterations, Unbounded
+from .errors import LpFailure, MaxIterations, Unbounded, ValidationError
 
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
 STALL_LIMIT = 12  # degenerate pivots in a row before Bland's rule takes over
-
-
-@dataclass
-class LpProblem:
-    """min objective . x  s.t.  eq_matrix @ x = eq_rhs, x >= 0."""
-
-    objective: np.ndarray
-    eq_matrix: np.ndarray
-    eq_rhs: np.ndarray
-
-    def __post_init__(self):
-        self.objective = np.asarray(self.objective, dtype=np.float64)
-        self.eq_matrix = np.atleast_2d(np.asarray(self.eq_matrix, dtype=np.float64))
-        self.eq_rhs = np.atleast_1d(np.asarray(self.eq_rhs, dtype=np.float64))
-        m, n = self.eq_matrix.shape
-        if self.objective.shape != (n,) or self.eq_rhs.shape != (m,):
-            raise ValueError("inconsistent LP dimensions")
-        if not (np.isfinite(self.objective).all() and np.isfinite(self.eq_matrix).all()
-                and np.isfinite(self.eq_rhs).all()):
-            raise ValueError("LP data must be finite")
+HIGHS_TOL = 1e-10
 
 
 @dataclass
 class LpSolution:
     value: float
     x: np.ndarray
-    basis: list
+    basis: list | None  # None after the HiGHS fallback: no basis to warm-start from
     iterations: int
     residual: float
 
@@ -102,101 +89,58 @@ def _run_simplex(tableau, basis, costs, max_iter):
                 bland = True
 
 
-def solve_lp(problem, start_basis=None):
-    """Solve the LP, optionally warm-starting from a previously returned basis.
-
-    A warm basis is used only if it is square, nonsingular, and primal
-    feasible for this problem; otherwise the solver silently falls back to a
-    cold two-phase start. Raises Infeasible / Unbounded / MaxIterations,
-    all of which indicate caller bugs for hull projections.
-    """
-    return _solve_arrays(problem.eq_matrix, problem.eq_rhs, problem.objective,
-                         start_basis)
-
-
-def _solve_arrays(a, b, c, start_basis):
+def _from_basis(a, b, c, basis, max_iter):
+    """Simplex from ``basis``; None if it is not square, nonsingular and primal
+    feasible. Raises MaxIterations / Unbounded when the pivoting breaks down."""
     m, n = a.shape
-    max_iter = 10 * (n + m)
-    if start_basis is not None:
-        solution = _try_warm(a, b, c, np.asarray(start_basis, dtype=np.int64), max_iter)
-        if solution is not None:
-            return solution
-    return _cold(a, b, c, max_iter)
-
-
-def _finish(tableau, basis, c, n, iterations, a, b):
-    x = np.zeros(n)
-    keep = basis < n
-    x[np.asarray(basis)[keep]] = tableau[np.flatnonzero(keep), -1]
-    residual = float(np.abs(a @ x - b).max()) if a.size else 0.0
-    return LpSolution(float(c @ x), x, [int(j) for j in basis], iterations, residual)
-
-
-def _try_warm(a, b, c, basis, max_iter):
-    m, n = a.shape
+    basis = np.array(basis, dtype=np.int64)
     if basis.shape != (m,) or basis.min() < 0 or basis.max() >= n or np.unique(basis).size != m:
         return None
-    base = a[:, basis]
     try:
-        tableau = np.linalg.solve(base, np.column_stack([a, b]))
+        tableau = np.linalg.solve(a[:, basis], np.column_stack([a, b]))
     except np.linalg.LinAlgError:
         return None
     if tableau[:, -1].min() < -PIVOT_TOL:
         return None
-    basis = basis.copy()
     iterations = _run_simplex(tableau, basis, c, max_iter)
-    return _finish(tableau, basis, c, n, iterations, a, b)
+    x = np.zeros(n)
+    x[basis] = tableau[:, -1]
+    residual = float(np.abs(a @ x - b).max())
+    return LpSolution(float(c @ x), x, [int(j) for j in basis], iterations, residual)
 
 
-def _cold(a, b, c, max_iter):
-    m, n = a.shape
-    flip = b < 0
-    a = np.where(flip[:, None], -a, a)
-    b = np.where(flip, -b, b)
+def _highs(a, b, c):
+    """The same LP through HiGHS, for when both simplex starts break down.
 
-    # Phase 1: artificial basis, minimize total artificial mass.
-    tableau = np.column_stack([a, np.eye(m), b])
-    basis = np.arange(n, n + m, dtype=np.int64)
-    phase1_costs = np.concatenate([np.zeros(n), np.ones(m)])
-    iterations = _run_simplex(tableau, basis, phase1_costs, max_iter)
-    infeas = float(tableau[basis >= n, -1].sum())
-    if infeas > FEAS_TOL:
-        raise Infeasible(f"phase-1 optimum {infeas:.3g} > 0")
+    Any x >= 0 with A x = b yields a sound upper bound, so the answer is
+    checked rather than trusted: round-off negatives are clipped to zero and
+    the weights must then meet the constraints to FEAS_TOL.
+    """
+    from scipy.optimize import linprog  # only loaded on this rare path
 
-    # Drive leftover artificials out of the basis; drop redundant rows.
-    drop_rows = []
-    for row in range(m):
-        if basis[row] < n:
-            continue
-        in_basis = set(basis.tolist())
-        pivots = [j for j in np.flatnonzero(np.abs(tableau[row, :n]) > PIVOT_TOL)
-                  if j not in in_basis]
-        if pivots:
-            _pivot(tableau, basis, row, int(pivots[0]))
-        else:
-            drop_rows.append(row)
-    if drop_rows:
-        keep = np.setdiff1d(np.arange(m), drop_rows)
-        tableau = tableau[keep]
-        basis = basis[keep]
-
-    tableau = np.delete(tableau, np.s_[n:n + m], axis=1)
-    iterations += _run_simplex(tableau, basis, c, max_iter)
-    return _finish(tableau, basis, c, n, iterations, a, b)
+    result = linprog(c, A_eq=a, b_eq=b, bounds=(0, None), method="highs",
+                     options={"primal_feasibility_tolerance": HIGHS_TOL,
+                              "dual_feasibility_tolerance": HIGHS_TOL})
+    if result.x is None:
+        raise LpFailure(f"HiGHS fallback failed: {result.message}")
+    x = np.maximum(result.x, 0.0)
+    residual = float(np.abs(a @ x - b).max())
+    if residual > FEAS_TOL:
+        raise LpFailure(f"HiGHS fallback weights miss the constraints by {residual:.3g}")
+    return LpSolution(float(c @ x), x, None, int(result.nit), residual)
 
 
-def projection_lp(point_rows, point_values, query_vec, corner_columns=None,
-                  warm_basis=None):
+def projection_lp(point_rows, point_values, query_vec, corner_columns, warm_basis=None):
     """Value of the lower convex hull of (point, value) pairs at ``query_vec``.
 
     ``point_rows`` is (n_points, d) with rows on the d-dimensional probability
-    simplex, ``query_vec`` lies on the same simplex. Because every row sums to
-    one, the componentwise matching constraints make one row redundant; the
-    system solved is the full-rank reduction (first d-1 coordinates plus the
-    convex-combination row). When ``corner_columns[s]`` gives the column
-    holding corner e_s, that basis is primal feasible (weights = query masses)
-    and phase 1 is skipped entirely; ``warm_basis``, when supplied, is tried
-    first.
+    simplex, ``query_vec`` lies on the same simplex, and ``corner_columns[s]``
+    is the row holding corner e_s. Because every row sums to one, the
+    componentwise matching constraints make one row redundant; the system
+    solved is the full-rank reduction (first d-1 coordinates plus the
+    convex-combination row). The simplex starts from ``warm_basis`` when it is
+    given and still feasible, then from the corner basis if that start breaks
+    down, and hands the LP to HiGHS if the corner start breaks down too.
     """
     d = query_vec.size
     n = point_rows.shape[0]
@@ -207,17 +151,15 @@ def projection_lp(point_rows, point_values, query_vec, corner_columns=None,
     rhs[: d - 1] = query_vec[: d - 1]
     rhs[d - 1] = 1.0
     max_iter = 10 * (n + d)
-    if warm_basis is not None:
-        solution = _try_warm(eq, rhs, point_values,
-                             np.asarray(warm_basis, dtype=np.int64), max_iter)
+    starts = [corner_columns] if warm_basis is None else [warm_basis, corner_columns]
+    for basis in starts:
+        try:
+            solution = _from_basis(eq, rhs, point_values, basis, max_iter)
+        except LpFailure:
+            continue
         if solution is not None:
             return solution
-    if corner_columns is not None:
-        solution = _try_warm(eq, rhs, point_values,
-                             np.asarray(corner_columns, dtype=np.int64), max_iter)
-        if solution is not None:
-            return solution
-    return _cold(eq, rhs, point_values, max_iter)
+    return _highs(eq, rhs, point_values)
 
 
 def hull_projection(points, query):
@@ -236,5 +178,6 @@ def hull_projection(points, query):
         values[i] = value
         if len(belief) == 1 and corner_columns[belief.states[0]] < 0:
             corner_columns[int(belief.states[0])] = i
-    start = corner_columns if corner_columns.min() >= 0 else None
-    return projection_lp(rows, values, query.to_dense(), corner_columns=start).value
+    if corner_columns.min() < 0:
+        raise ValidationError("hull projection needs every simplex corner in the point set")
+    return projection_lp(rows, values, query.to_dense(), corner_columns).value

@@ -4,8 +4,10 @@ initial belief closes.
 Each top-level trial follows a single path down the search tree: actions are
 chosen by the highest upper-bound Q value, observations by the largest
 probability-weighted excess uncertainty, and the bounds are locally updated
-at every visited belief on the way back up. The search is depth-first with
-in-place (Gauss-Seidel) updates and is entirely deterministic.
+at every visited belief on the way back up. The search is an iterative loop
+(a descent that records the path, then the updates in reverse order), so its
+depth is not limited by the interpreter's stack; updates are in place
+(Gauss-Seidel) and the whole run is deterministic.
 """
 
 from __future__ import annotations
@@ -13,24 +15,18 @@ from __future__ import annotations
 import csv
 import logging
 import math
-import sys
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import apply_update, init_bounds, q_value
+from .bounds import apply_update, expand, init_bounds
 from .errors import DepthCapExceeded
-from .model import expected_rewards_all_actions, successor_distributions
 
 DEPTH_MARGIN = 2          # slack past the theoretical cap before declaring a bug
 MACHINE_WIDTH = 1e-9      # anytime stops once the gap is numerically closed
 
 log = logging.getLogger(__name__)
-
-
-class _TimeoutSignal(Exception):
-    """Internal: unwinds the search when the wall-clock budget runs out."""
 
 
 @dataclass
@@ -44,9 +40,7 @@ class SolverConfig:
     max_trials         cap on top-level trials; None means unbounded.
     audit_num_beliefs  number of fixed random beliefs whose bound values are
                        recorded every trial (invariant checking).
-    observation_rule   "excess" (default) or "sampled", a test-only hook that
-                       samples the observation from Pr(o|b,a*) among
-                       unfinished children instead of maximizing.
+    audit_seed         seed of those beliefs.
     """
 
     epsilon: float = 1e-3
@@ -55,16 +49,12 @@ class SolverConfig:
     max_trials: int | None = None
     audit_num_beliefs: int = 0
     audit_seed: int = 0
-    observation_rule: str = "excess"
-    sample_seed: int = 0
 
     def __post_init__(self):
         if not self.epsilon > 0.0:
             raise ValueError("epsilon must be positive")
         if not 0.0 < self.zeta < 1.0:
             raise ValueError("zeta must lie in (0, 1)")
-        if self.observation_rule not in ("excess", "sampled"):
-            raise ValueError(f"unknown observation rule {self.observation_rule!r}")
 
 
 @dataclass
@@ -149,135 +139,70 @@ def update_bound(t_max, num_actions, num_observations):
     return t_max * (branching ** (t_max + 1) - 1) // (branching - 1)
 
 
-def choose_action(model, bounds, b):
-    """IE-MAX: the action with the highest upper-bound Q value (lowest index
-    on ties). Chasing the optimistic bound is what guarantees that a
-    suboptimal choice is eventually found out."""
-    best_action = 0
-    best_q = -np.inf
-    for a in range(model.num_actions):
-        qa = q_value(model, bounds, "upper", b, a)
-        if qa > best_q:
-            best_q = qa
-            best_action = a
-    return best_action
+def choose_action(expansion):
+    """IE-MAX: the action with the highest Q in an upper-bound expansion
+    (lowest index on ties). Chasing the optimistic bound is what guarantees
+    that a suboptimal choice is eventually found out."""
+    qs = [branch.q for branch in expansion]
+    return qs.index(max(qs))
 
 
-def choose_observation(model, bounds, b, a_star, epsilon, t):
-    """Child whose probability-weighted excess uncertainty is largest.
+def choose_observation(model, bounds, branch, epsilon, t):
+    """Child of ``branch`` whose probability-weighted excess uncertainty is
+    largest.
 
+    ``branch`` is the chosen action's entry of the upper-bound expansion at a
+    belief of depth t, so its child values are upper-bound values.
     excess(b', t+1) = width(b') - epsilon * gamma^-(t+1); a child with
     non-positive excess is finished. Returns None when every positive-
     probability child is finished.
     """
     gamma = model.discount
     child_target = math.inf if gamma == 0.0 else epsilon * gamma ** (-(t + 1))
-    obs_probs, posteriors = successor_distributions(model, b, a_star)
     best_o = None
     best_weight = 0.0
-    for o, posterior in enumerate(posteriors):
+    for o, posterior in enumerate(branch.posteriors):
         if posterior is None:
             continue
-        excess = bounds.upper.value(posterior) - bounds.lower.value(posterior) - child_target
-        weighted = obs_probs[o] * excess
+        excess = branch.values[o] - bounds.lower.value(posterior) - child_target
+        weighted = branch.obs_probs[o] * excess
         if weighted > best_weight:
             best_weight = weighted
             best_o = o
     return best_o
 
 
-class _Search:
-    """State for one top-level trial."""
+def _trial(model, bounds, b, t, epsilon, t_max, deadline):
+    """One trial from belief b at depth t: (updates, deepest depth, timed out).
 
-    def __init__(self, model, bounds, epsilon, t_max, deadline, rng):
-        self.model = model
-        self.bounds = bounds
-        self.epsilon = epsilon
-        self.gamma = model.discount
-        self.t_max = t_max
-        self.deadline = deadline
-        self.rng = rng
-        self.updates = 0
-        self.max_depth = 0
-
-    def run(self, b0):
-        lower = self.bounds.lower.value(b0)
-        upper = self.bounds.upper.value(b0)
-        self.explore(b0, 0, lower, upper)
-
-    def explore(self, b, t, lower_b, upper_b):
-        self.max_depth = max(self.max_depth, t)
-        target = self.epsilon if (t == 0 or self.gamma == 0.0) else self.epsilon * self.gamma ** (-t)
-        if upper_b - lower_b <= target:
-            return
-        if t > self.t_max + DEPTH_MARGIN:
-            raise DepthCapExceeded(
-                f"exploration reached depth {t} > cap {self.t_max} + {DEPTH_MARGIN}")
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise _TimeoutSignal
-
-        model = self.model
-        bounds = self.bounds
-        immediate = expected_rewards_all_actions(model, b)
-
-        # One expansion serves action choice, observation choice, and the
-        # post-recursion update: upper-bound child values cost an LP each.
-        best_q = -np.inf
-        a_star = 0
-        star_children = None
-        for a in range(model.num_actions):
-            obs_probs, posteriors = successor_distributions(model, b, a)
-            child_upper = [None] * model.num_observations
-            future = 0.0
-            for o, posterior in enumerate(posteriors):
-                if posterior is None:
-                    continue
-                child_upper[o] = bounds.upper.value(posterior)
-                future += obs_probs[o] * child_upper[o]
-            qa = immediate[a] + self.gamma * future
-            if qa > best_q:
-                best_q = qa
-                a_star = a
-                star_children = (obs_probs, posteriors, child_upper)
-
-        o_star, child_bounds = self._pick_observation(star_children, t)
-        if o_star is not None:
-            self.explore(star_children[1][o_star], t + 1, *child_bounds)
-
+    The descent expands each belief once against the upper bound, follows
+    choose_action and choose_observation, and stops at the first node whose
+    children are all finished; a child that choose_observation picks is
+    unfinished by construction. Then every belief on the path is updated,
+    deepest first, with the Q value its expansion already holds. A trial cut
+    by the deadline applies no update.
+    """
+    gamma = model.discount
+    target = epsilon if (t == 0 or gamma == 0.0) else epsilon * gamma ** (-t)
+    path = []
+    if bounds.upper.value(b) - bounds.lower.value(b) > target:
+        while True:
+            if t > t_max + DEPTH_MARGIN:
+                raise DepthCapExceeded(
+                    f"exploration reached depth {t} > cap {t_max} + {DEPTH_MARGIN}")
+            if deadline is not None and time.monotonic() > deadline:
+                return 0, t, True
+            expansion = expand(model, bounds.upper.value, b)
+            branch = expansion[choose_action(expansion)]
+            path.append((b, branch.q))
+            o_star = choose_observation(model, bounds, branch, epsilon, t)
+            if o_star is None:
+                break
+            b = branch.posteriors[o_star]
+            t += 1
+    for b, best_q in reversed(path):
         apply_update(model, bounds, b, best_q)
-        self.updates += 1
-
-    def _pick_observation(self, star_children, t):
-        obs_probs, posteriors, child_upper = star_children
-        child_target = (math.inf if self.gamma == 0.0
-                        else self.epsilon * self.gamma ** (-(t + 1)))
-        weights = []
-        child_lower = [None] * len(posteriors)
-        for o, posterior in enumerate(posteriors):
-            if posterior is None:
-                weights.append(0.0)
-                continue
-            child_lower[o] = self.bounds.lower.value(posterior)
-            excess = child_upper[o] - child_lower[o] - child_target
-            weights.append(obs_probs[o] * excess)
-
-        if self.rng is None:
-            best_o, best_weight = None, 0.0
-            for o, w in enumerate(weights):
-                if posteriors[o] is not None and w > best_weight:
-                    best_o, best_weight = o, w
-        else:
-            # Test-only hook: sample among unfinished children by Pr(o|b,a*).
-            open_children = [o for o, w in enumerate(weights)
-                             if posteriors[o] is not None and w > 0.0]
-            if not open_children:
-                best_o = None
-            else:
-                mass = np.array([obs_probs[o] for o in open_children])
-                best_o = int(self.rng.choice(open_children, p=mass / mass.sum()))
-        if best_o is None:
-            return None, None
-        return best_o, (child_lower[best_o], child_upper[best_o])
+    return len(path), t, False
 
 
 def _audit_beliefs_for(model, config):
@@ -314,7 +239,6 @@ def _drive(model, config, anytime):
     audit_beliefs = _audit_beliefs_for(model, config)
     final_target = max(config.epsilon, MACHINE_WIDTH) if anytime else config.epsilon
 
-    rng = np.random.default_rng(config.sample_seed) if config.observation_rule == "sampled" else None
     start = time.monotonic()
     deadline = start + config.timeout_s if config.timeout_s is not None else None
 
@@ -353,22 +277,17 @@ def _drive(model, config, anytime):
             break
         trial_epsilon = max(config.zeta * width, MACHINE_WIDTH) if anytime else config.epsilon
         t_max = depth_bound(trial_epsilon, gap0, gamma)
-        sys.setrecursionlimit(max(sys.getrecursionlimit(), 3 * t_max + 500))
-        search = _Search(model, bounds, trial_epsilon, t_max, deadline, rng)
-        try:
-            search.run(b0)
-        except _TimeoutSignal:
-            # Partial trial: its updates are already applied and remain valid.
-            total_updates += search.updates
-            record(trial + 1, search.max_depth)
+        updates, depth, timed_out = _trial(model, bounds, b0, 0, trial_epsilon, t_max, deadline)
+        total_updates += updates
+        if timed_out:
+            record(trial + 1, depth)
             terminated_by = "timeout"
             break
-        total_updates += search.updates
         trial += 1
-        record(trial, search.max_depth)
+        record(trial, depth)
         log.debug("trial %d: width %.6g, |vectors|=%d, |points|=%d, depth %d",
                   trial, trace.width[-1], len(bounds.lower),
-                  bounds.upper.num_points, search.max_depth)
+                  bounds.upper.num_points, depth)
 
     final_width = bounds.upper.value(b0) - bounds.lower.value(b0)
     log.info("%s after %d trials, %d updates: width %.6g",
@@ -394,9 +313,5 @@ def explore(model, bounds, b, epsilon, t):
     """
     gap = float(bounds.upper.corner_values.max() - bounds.lower.matrix.min(axis=1).max())
     t_max = depth_bound(epsilon, gap, model.discount)
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 3 * (t_max + t) + 500))
-    search = _Search(model, bounds, epsilon, t_max + t, None, None)
-    lower = bounds.lower.value(b)
-    upper = bounds.upper.value(b)
-    search.explore(b, t, lower, upper)
+    _trial(model, bounds, b, t, epsilon, t_max + t, None)
     return bounds

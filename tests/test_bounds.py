@@ -11,18 +11,16 @@ from hsvi import (
     PomdpModel,
     RockSampleParams,
     backup_lower,
+    expand,
     gen_rocksample,
     hull_projection,
     init_bounds,
     init_lower,
     init_upper,
     local_update,
-    lower_value,
     mdp_value_iteration,
     prune_lower,
     prune_upper,
-    q_value,
-    upper_value,
 )
 from hsvi.bounds import LowerBound, UpperBound, upper_bellman
 
@@ -92,14 +90,14 @@ def test_init_upper_converges_from_above(rng):
 def test_lower_value_single_zero_vector():
     lb = LowerBound(2)
     lb.add(AlphaVector(np.zeros(2), 0))
-    assert lower_value(lb, Belief.uniform(2)) == 0.0
+    assert lb.value(Belief.uniform(2)) == 0.0
 
 
 def test_lower_value_two_vectors():
     lb = LowerBound(2)
     lb.add(AlphaVector(np.array([1.0, 0.0]), 0))
     lb.add(AlphaVector(np.array([0.0, 1.0]), 1))
-    assert lower_value(lb, Belief(2, [0, 1], [0.5, 0.5])) == pytest.approx(0.5)
+    assert lb.value(Belief(2, [0, 1], [0.5, 0.5])) == pytest.approx(0.5)
 
 
 def test_lower_value_matches_naive_max(rng):
@@ -109,7 +107,7 @@ def test_lower_value_matches_naive_max(rng):
         lb.add(AlphaVector(v, i % 2))
     for _ in range(25):
         b = Belief.from_dense(rng.dirichlet(np.ones(4)))
-        assert lower_value(lb, b) == pytest.approx(
+        assert lb.value(b) == pytest.approx(
             oracles.lower_value_naive(vectors, b.to_dense()), abs=1e-12)
 
 
@@ -118,7 +116,7 @@ def test_upper_value_corner_exactness(rng):
     for _ in range(6):
         ub.add_point(Belief.from_dense(rng.dirichlet(np.ones(4))), float(rng.uniform(-1, 4)))
     for s in range(4):
-        assert upper_value(ub, Belief.point_mass(s, 4)) == ub.corner_values[s]
+        assert ub.value(Belief.point_mass(s, 4)) == ub.corner_values[s]
 
 
 def test_upper_value_matches_full_hull_on_sparse_support(rng):
@@ -131,7 +129,7 @@ def test_upper_value_matches_full_hull_on_sparse_support(rng):
                   Belief(4, [0, 1, 2], [0.4, 0.3, 0.3]),
                   Belief.from_dense(rng.dirichlet(np.ones(4)))):
         full = hull_projection(ub.points, query)
-        assert upper_value(ub, query) == pytest.approx(full, abs=1e-8)
+        assert ub.value(query) == pytest.approx(full, abs=1e-8)
 
 
 def test_upper_dedup_replaces_if_lower(rng):
@@ -140,10 +138,10 @@ def test_upper_dedup_replaces_if_lower(rng):
     ub.add_point(b, 3.0)
     ub.add_point(Belief.from_dense(np.array([0.2, 0.3, 0.5])), 4.0)  # discarded
     assert ub.num_points == 4
-    assert upper_value(ub, b) == pytest.approx(3.0)
+    assert ub.value(b) == pytest.approx(3.0)
     ub.add_point(Belief.from_dense(np.array([0.2, 0.3, 0.5])), 2.0)  # replaces
     assert ub.num_points == 4
-    assert upper_value(ub, b) == pytest.approx(2.0)
+    assert ub.value(b) == pytest.approx(2.0)
 
 
 def test_upper_point_mass_update_lowers_corner():
@@ -156,7 +154,7 @@ def test_upper_point_mass_update_lowers_corner():
 
 
 # ---------------------------------------------------------------------------
-# q_value
+# expand: one-step lookahead Q values
 # ---------------------------------------------------------------------------
 
 def test_q_value_zero_discount_is_expected_reward(rng):
@@ -165,8 +163,8 @@ def test_q_value_zero_discount_is_expected_reward(rng):
     b = Belief.from_dense(rng.dirichlet(np.ones(3)))
     for a in range(2):
         expected = float(m.reward[a][b.states] @ b.probs)
-        assert q_value(m, bounds, "lower", b, a) == pytest.approx(expected, abs=1e-12)
-        assert q_value(m, bounds, "upper", b, a) == pytest.approx(expected, abs=1e-12)
+        assert expand(m, bounds.lower.value, b)[a].q == pytest.approx(expected, abs=1e-12)
+        assert expand(m, bounds.upper.value, b)[a].q == pytest.approx(expected, abs=1e-12)
 
 
 def test_q_value_single_state():
@@ -174,7 +172,7 @@ def test_q_value_single_state():
                       b0=Belief.point_mass(0, 1))
     bounds = init_bounds(m)
     v = bounds.lower.value(m.initial_belief)
-    assert q_value(m, bounds, "lower", m.initial_belief, 0) == pytest.approx(1 + 0.95 * v)
+    assert expand(m, bounds.lower.value, m.initial_belief)[0].q == pytest.approx(1 + 0.95 * v)
 
 
 def test_q_value_lower_matches_naive_expansion(rng):
@@ -189,7 +187,34 @@ def test_q_value_lower_matches_naive_expansion(rng):
         b = Belief.from_dense(rng.dirichlet(np.ones(3)))
         a = int(rng.integers(2))
         expected = oracles.q_value_naive(t, o, r, 0.9, value_fn, b.to_dense(), a)
-        assert q_value(m, bounds, "lower", b, a) == pytest.approx(expected, abs=1e-9)
+        assert expand(m, bounds.lower.value, b)[a].q == pytest.approx(expected, abs=1e-9)
+
+
+def test_expand_upper_matches_naive_with_one_kernel_pass_per_action(rng, monkeypatch):
+    import hsvi.bounds as bounds_module
+
+    m = oracles.random_pomdp(rng, 3, 3, 2, 0.9)
+    t, o, r = oracles.dense_tensors(m)
+    bounds = init_bounds(m)
+    for _ in range(4):
+        local_update(m, bounds, Belief.from_dense(rng.dirichlet(np.ones(3))))
+    rows = np.stack([p.to_dense() for p, _ in bounds.upper.points])
+    vals = np.array([v for _, v in bounds.upper.points])
+    upper_fn = lambda dense: oracles.caratheodory_projection(rows, vals, dense)
+    kernel_calls = []
+    original = bounds_module.successor_distributions
+    monkeypatch.setattr(bounds_module, "successor_distributions",
+                        lambda *args: kernel_calls.append(args[2]) or original(*args))
+    b = Belief.from_dense(rng.dirichlet(np.ones(3)))
+    expansion = expand(m, bounds.upper.value, b)
+    assert kernel_calls == [0, 1, 2]
+    for a, branch in enumerate(expansion):
+        expected = oracles.q_value_naive(t, o, r, 0.9, upper_fn, b.to_dense(), a)
+        assert branch.q == pytest.approx(expected, abs=1e-9)
+        for posterior, value in zip(branch.posteriors, branch.values):
+            assert (value is None) == (posterior is None)
+            if posterior is not None:
+                assert value == bounds.upper.value(posterior)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +344,7 @@ def test_updates_preserve_uniform_improvability(rng):
     # lower: one-step lookahead only improves
     for _ in range(10):
         b = Belief.from_dense(rng.dirichlet(np.ones(3)))
-        h = max(q_value(m, bounds, "lower", b, a) for a in range(2))
+        h = max(branch.q for branch in expand(m, bounds.lower.value, b))
         assert h >= bounds.lower.value(b) - 1e-9
     # upper: every stored point sits at or above its own one-step value
     for b, v in bounds.upper.interior_points:
@@ -363,9 +388,9 @@ def test_prune_lower_preserves_bound_function(rng):
     for i in range(30):
         lb.add(AlphaVector(rng.normal(size=4), int(i % 3)))
     queries = [Belief.from_dense(rng.dirichlet(np.ones(4))) for _ in range(1000)]
-    before = [lower_value(lb, b) for b in queries]
+    before = [lb.value(b) for b in queries]
     prune_lower(lb)
-    after = [lower_value(lb, b) for b in queries]
+    after = [lb.value(b) for b in queries]
     np.testing.assert_allclose(before, after, atol=1e-9)
 
 

@@ -74,12 +74,12 @@ def test_policy_action_picks_maximizing_vector():
 def test_policy_action_near_greedy_on_solved_model(rng):
     m = oracles.random_pomdp(rng, 3, 2, 2, 0.9)
     res = solve(m, SolverConfig(epsilon=0.02))
-    from hsvi import q_value
+    from hsvi import expand
 
     for _ in range(100):
         b = Belief.from_dense(rng.dirichlet(np.ones(3)))
         action = policy_action(res.bounds.lower, b)
-        qs = [q_value(m, res.bounds, "lower", b, a) for a in range(2)]
+        qs = [branch.q for branch in expand(m, res.bounds.lower.value, b)]
         width = res.bounds.upper.value(b) - res.bounds.lower.value(b)
         assert qs[action] >= max(qs) - width - 1e-6
 

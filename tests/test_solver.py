@@ -1,6 +1,7 @@
 """Forward search, heuristics, drivers, and their theoretical guardrails."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -15,14 +16,18 @@ from hsvi import (
     choose_action,
     choose_observation,
     depth_bound,
+    expand,
     explore,
     init_bounds,
-    q_value,
     solve,
     solve_anytime,
     successor_distributions,
     update_bound,
 )
+
+
+def _upper_expansion(m, bounds, b):
+    return expand(m, bounds.upper.value, b)
 
 
 def _one_state_model():
@@ -37,7 +42,7 @@ def _one_state_model():
 def test_choose_action_single_action(random_model):
     m = oracles.random_pomdp(np.random.default_rng(5), 3, 1, 2, 0.9)
     bounds = init_bounds(m)
-    assert choose_action(m, bounds, m.initial_belief) == 0
+    assert choose_action(_upper_expansion(m, bounds, m.initial_belief)) == 0
 
 
 def test_choose_action_zero_discount_maximizes_immediate_reward(rng):
@@ -45,16 +50,19 @@ def test_choose_action_zero_discount_maximizes_immediate_reward(rng):
     bounds = init_bounds(m)
     b = Belief.from_dense(rng.dirichlet(np.ones(3)))
     expected = int(np.argmax([float(m.reward[a][b.states] @ b.probs) for a in range(3)]))
-    assert choose_action(m, bounds, b) == expected
+    assert choose_action(_upper_expansion(m, bounds, b)) == expected
 
 
 def test_choose_action_matches_q_scan(rng):
     for _ in range(5):
         m = oracles.random_pomdp(rng, 3, 3, 2, 0.9)
+        t, o, r = oracles.dense_tensors(m)
         bounds = init_bounds(m)
+        corner_values = bounds.upper.corner_values.copy()
+        upper_fn = lambda dense: oracles.caratheodory_projection(np.eye(3), corner_values, dense)
         b = Belief.from_dense(rng.dirichlet(np.ones(3)))
-        qs = [q_value(m, bounds, "upper", b, a) for a in range(3)]
-        assert choose_action(m, bounds, b) == int(np.argmax(qs))
+        qs = [oracles.q_value_naive(t, o, r, 0.9, upper_fn, b.to_dense(), a) for a in range(3)]
+        assert choose_action(_upper_expansion(m, bounds, b)) == int(np.argmax(qs))
 
 
 def test_choose_action_invariant_under_reward_scaling(rng):
@@ -65,8 +73,8 @@ def test_choose_action_invariant_under_reward_scaling(rng):
     base = PomdpModel(t, o, r, 0.9, b0)
     scaled = PomdpModel(t, o, 7.5 * r, 0.9, b0)
     for model_pair in [(base, scaled)]:
-        a1 = choose_action(model_pair[0], init_bounds(model_pair[0]), b0)
-        a2 = choose_action(model_pair[1], init_bounds(model_pair[1]), b0)
+        a1 = choose_action(_upper_expansion(model_pair[0], init_bounds(model_pair[0]), b0))
+        a2 = choose_action(_upper_expansion(model_pair[1], init_bounds(model_pair[1]), b0))
         assert a1 == a2
 
 
@@ -80,7 +88,8 @@ def test_choose_observation_deterministic_channel():
     o[0, :, 1] = 1.0  # always observation 1
     m = PomdpModel(t, o, np.array([[1.0, 0.0]]), 0.9, Belief.uniform(2))
     bounds = init_bounds(m)
-    assert choose_observation(m, bounds, m.initial_belief, 0, epsilon=1e-6, t=0) == 1
+    branch = _upper_expansion(m, bounds, m.initial_belief)[0]
+    assert choose_observation(m, bounds, branch, epsilon=1e-6, t=0) == 1
 
 
 def test_choose_observation_excess_arithmetic():
@@ -108,7 +117,8 @@ def test_choose_observation_matches_brute_force(rng):
             width = bounds.upper.value(post) - bounds.lower.value(post)
             weights.append(probs[obs] * (width - target))
         expected = int(np.argmax(weights)) if max(weights) > 0 else None
-        assert choose_observation(m, bounds, b, a, eps, depth) == expected
+        branch = _upper_expansion(m, bounds, b)[a]
+        assert choose_observation(m, bounds, branch, eps, depth) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -143,37 +153,46 @@ def test_depth_cap_exceeded_is_internal_error(rng):
     bounds = init_bounds(m)
     b0 = m.initial_belief
     # a deliberately broken cap: any expansion already sits past it
-    search = solver_module._Search(m, bounds, epsilon=1e-6, t_max=-5,
-                                   deadline=None, rng=None)
     with pytest.raises(DepthCapExceeded):
-        search.explore(b0, 0, bounds.lower.value(b0), bounds.upper.value(b0))
+        solver_module._trial(m, bounds, b0, 0, epsilon=1e-6, t_max=-5, deadline=None)
 
 
-def test_explore_finishes_an_unfinished_node(rng):
+def test_explore_finishes_an_unfinished_node(rng, monkeypatch):
     m = oracles.random_pomdp(rng, 2, 2, 2, 0.9)
     bounds = init_bounds(m)
     b0 = m.initial_belief
     eps = 0.2
 
-    visited = []
-    original = solver_module._Search.explore
+    updated = []
+    original = solver_module.apply_update
 
-    def tracking(self, b, t, lower_b, upper_b):
-        visited.append((b, t))
-        return original(self, b, t, lower_b, upper_b)
+    def tracking(model, bounds_, b, upper_point_value):
+        updated.append(b)
+        return original(model, bounds_, b, upper_point_value)
 
     def excess(b, t):
         width = bounds.upper.value(b) - bounds.lower.value(b)
         return width - eps * 0.9 ** (-t)
 
-    solver_module._Search.explore = tracking
-    try:
-        assert excess(b0, 0) > 0
-        explore(m, bounds, b0, epsilon=eps, t=0)
-    finally:
-        solver_module._Search.explore = original
-    finished = [node for node, depth in visited if excess(node, depth) <= 0]
+    monkeypatch.setattr(solver_module, "apply_update", tracking)
+    assert excess(b0, 0) > 0
+    explore(m, bounds, b0, epsilon=eps, t=0)
+    # updates run deepest first, so the reversed list is the path from b0
+    visited = list(reversed(updated))
+    assert visited[0] is b0
+    finished = [node for depth, node in enumerate(visited) if excess(node, depth) <= 0]
     assert len(finished) >= 1
+
+
+def test_deep_trial_leaves_recursion_limit_alone():
+    # discount 0.999 makes the depth cap ln(gap / epsilon) / -ln(0.999):
+    # a single trial at epsilon 100 descends past depth 1,000
+    m = oracles.random_pomdp(np.random.default_rng(0), 2, 2, 2, 0.999)
+    limit = sys.getrecursionlimit()
+    res = solve(m, SolverConfig(epsilon=100.0, max_trials=1))
+    assert max(res.trace.max_depth) > 1000
+    assert res.total_updates == max(res.trace.max_depth) + 1
+    assert sys.getrecursionlimit() == limit
 
 
 # ---------------------------------------------------------------------------
@@ -242,13 +261,13 @@ def test_anytime_zero_reward_returns_immediately():
 def test_anytime_trial_epsilon_tracks_zeta_times_width(rng, monkeypatch):
     m = oracles.random_pomdp(rng, 3, 2, 2, 0.9)
     seen = []
-    original = solver_module._Search.__init__
+    original = solver_module._trial
 
-    def spy(self, model, bounds, epsilon, t_max, deadline, rng_):
+    def spy(model, bounds, b, t, epsilon, t_max, deadline):
         seen.append(epsilon)
-        original(self, model, bounds, epsilon, t_max, deadline, rng_)
+        return original(model, bounds, b, t, epsilon, t_max, deadline)
 
-    monkeypatch.setattr(solver_module._Search, "__init__", spy)
+    monkeypatch.setattr(solver_module, "_trial", spy)
     res = solve_anytime(m, SolverConfig(epsilon=0.05, zeta=0.95, max_trials=4))
     widths = res.trace.width
     for trial_eps, width_before in zip(seen, widths):
@@ -263,9 +282,28 @@ def test_anytime_converges_and_width_monotone(rng):
     assert np.all(np.diff(res.trace.width) <= 1e-9)
 
 
-def test_sampled_observation_rule_keeps_bounds_valid(rng):
+def test_sampled_observation_rule_keeps_bounds_valid(rng, monkeypatch):
+    # Any rule that only picks unfinished children keeps the bounds valid and
+    # still converges; here the child is sampled by Pr(o|b,a*) instead.
+    sampler = np.random.default_rng(3)
+    calls = []
+
+    def sampled(model, bounds, branch, epsilon, t):
+        calls.append(t)
+        target = epsilon * model.discount ** (-(t + 1))
+        open_children = [
+            o for o, posterior in enumerate(branch.posteriors)
+            if posterior is not None
+            and branch.obs_probs[o] * (branch.values[o] - bounds.lower.value(posterior) - target) > 0.0]
+        if not open_children:
+            return None
+        mass = np.array([branch.obs_probs[o] for o in open_children])
+        return int(sampler.choice(open_children, p=mass / mass.sum()))
+
+    monkeypatch.setattr(solver_module, "choose_observation", sampled)
     m = oracles.random_pomdp(rng, 3, 2, 2, 0.9)
-    res = solve(m, SolverConfig(epsilon=0.05, observation_rule="sampled", sample_seed=3))
+    res = solve(m, SolverConfig(epsilon=0.05))
+    assert calls
     assert res.terminated_by == "epsilon-reached"
     assert res.final_width <= 0.05
     lo, hi = oracles.exact_value_interval(m, tol=1e-3)
@@ -284,9 +322,9 @@ def test_width_identity_after_child_evaluation(rng):
 
         local_update(m, bounds, local_update_belief)
     b = Belief.from_dense(rng.dirichlet(np.ones(3)))
-    a_star = choose_action(m, bounds, b)
-    q_width = (q_value(m, bounds, "upper", b, a_star)
-               - q_value(m, bounds, "lower", b, a_star))
+    upper = _upper_expansion(m, bounds, b)
+    a_star = choose_action(upper)
+    q_width = upper[a_star].q - expand(m, bounds.lower.value, b)[a_star].q
     probs, posts = successor_distributions(m, b, a_star)
     expected = 0.9 * sum(
         probs[o] * (bounds.upper.value(p) - bounds.lower.value(p))
