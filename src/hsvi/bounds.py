@@ -5,10 +5,11 @@ belief is the max dot product). The upper bound is a set of (belief, value)
 points containing all simplex corners; its value is the projection onto the
 lower convex hull of the point set, evaluated by LP.
 
-Both representations support a local update at a belief b: the lower bound
-gains the gradient-backup vector at b, the upper bound gains the point
-(b, Bellman value at b). Each set is pruned whenever it has grown 10% past
-its size at the previous pruning.
+Both representations support a local update at a belief b, read from one
+expansion at b (``expand``: each action's successors τ(b,a,o), computed
+once): the lower bound gains the gradient-backup vector folded from those
+successors, the upper bound gains the point (b, max_a Q(b,a)). Each set is
+pruned whenever it has grown 10% past its size at the previous pruning.
 """
 
 from __future__ import annotations
@@ -71,11 +72,6 @@ class LowerBound:
     def actions(self):
         return self._actions[: self._count]
 
-    @property
-    def vectors(self):
-        return [AlphaVector(self._matrix[i].copy(), self._actions[i])
-                for i in range(self._count)]
-
     def add(self, alpha):
         if alpha.values.shape != (self.num_states,):
             raise ValidationError("alpha vector has wrong dimension")
@@ -107,7 +103,7 @@ class UpperBound:
     query's can carry weight, and the matching constraints outside that
     support are trivially satisfied, so the projection value is unchanged.
     Row matrices and the last optimal basis are cached per support pattern
-    (queries repeat the same patterns heavily); caches are invalidated when
+    (queries repeat the same patterns heavily); the cache is emptied whenever
     the point set changes shape.
     """
 
@@ -120,7 +116,6 @@ class UpperBound:
         self._beliefs = []
         self._value_arr = np.empty(8)
         self._count = 0
-        self._shape_version = 0
         self._lp_cache = {}
         self._dedup = {}
         self.size_at_last_prune = self.num_points
@@ -144,8 +139,8 @@ class UpperBound:
         """(interior indices, stacked point rows, basis cache) for b's support."""
         key = b.support_mask()
         cached = self._lp_cache.get(key)
-        if cached is not None and cached[0] == self._shape_version:
-            return cached[1], cached[2], cached[3]
+        if cached is not None:
+            return cached
         support = b.states
         k = support.size
         picked = [i for i, point in enumerate(self._beliefs)
@@ -157,7 +152,7 @@ class UpperBound:
             rows[k + j, np.searchsorted(support, point.states)] = point.probs
         picked = np.asarray(picked, dtype=np.intp)
         extra = {}
-        self._lp_cache[key] = (self._shape_version, picked, rows, extra)
+        self._lp_cache[key] = (picked, rows, extra)
         return picked, rows, extra
 
     def value(self, b):
@@ -199,14 +194,12 @@ class UpperBound:
         self._value_arr[self._count] = value
         self._dedup.setdefault(mask, []).append(self._count)
         self._count += 1
-        self._shape_version += 1
         self._lp_cache = {}
 
     def _remove_interior(self, index):
         del self._beliefs[index]
         self._value_arr[index: self._count - 1] = self._value_arr[index + 1: self._count]
         self._count -= 1
-        self._shape_version += 1
         self._lp_cache = {}
         self._dedup = {}
         for i, point in enumerate(self._beliefs):
@@ -238,8 +231,6 @@ def init_lower(model):
     best_action = int(per_action_floor.argmax())
     lb = LowerBound(model.num_states)
     lb.add(AlphaVector(np.full(model.num_states, per_action_floor[best_action]), best_action))
-    lb.size_at_last_prune = len(lb)
-    lb._pruned_prefix = len(lb)
     return lb
 
 
@@ -316,13 +307,15 @@ def upper_bellman(model, ub, b):
 # -- local updates -----------------------------------------------------------
 
 
-def backup_lower(model, lb, b):
+def backup_lower(model, lb, b, expansion):
     """Gradient backup at b: a new alpha vector supporting the Bellman value.
 
-    For each action, the best current vector is selected at every positive-
-    probability successor belief and folded back through the model; the
-    returned vector is the per-action candidate with the largest value at b,
-    so beta . b = max_a Q(b,a) against the current lower bound.
+    ``expansion`` is an ``expand`` result at b; only its posteriors are read,
+    and they do not depend on the value function it was built against. For
+    each action, the best vector of the current lower bound is selected at
+    every positive-probability successor belief and folded back through the
+    model; the returned vector is the per-action candidate with the largest
+    value at b, so beta . b = max_a Q(b,a) against the current lower bound.
     Zero-probability observations are skipped; they carry no weight at b.
     """
     gamma = model.discount
@@ -330,10 +323,9 @@ def backup_lower(model, lb, b):
     best_vector = None
     best_score = -np.inf
     best_action = 0
-    for a in range(model.num_actions):
-        obs_probs, posteriors = successor_distributions(model, b, a)
+    for a, branch in enumerate(expansion):
         folded = np.zeros(model.num_states)
-        for o, posterior in enumerate(posteriors):
+        for o, posterior in enumerate(branch.posteriors):
             if posterior is not None:
                 folded += model.observation[a][:, o] * matrix[lb.best_index(posterior)]
         candidate = model.reward[a] + gamma * (model.transition[a] @ folded)
@@ -346,17 +338,22 @@ def backup_lower(model, lb, b):
 
 
 def local_update(model, bounds, b):
-    """Update both bounds at b: add the backup vector and the Bellman point."""
-    return apply_update(model, bounds, b, upper_bellman(model, bounds.upper, b))
+    """Update both bounds at b from a fresh upper-bound expansion."""
+    return apply_update(model, bounds, b, expand(model, bounds.upper.value, b))
 
 
-def apply_update(model, bounds, b, upper_point_value):
-    """Shared update core; callers that already hold max_a Q(b,a) against the
-    upper bound pass it in to avoid recomputing the LPs."""
-    bounds.lower.add(backup_lower(model, bounds.lower, b))
+def apply_update(model, bounds, b, expansion):
+    """Update both bounds at b from one upper-bound expansion at b.
+
+    The lower bound gains the backup vector folded from the expansion's
+    posteriors against the lower bound as it stands now; the upper bound
+    gains the point (b, max Q of the expansion). The search passes the
+    expansion its descent made, so no successor is computed twice.
+    """
+    bounds.lower.add(backup_lower(model, bounds.lower, b, expansion))
     if len(bounds.lower) >= PRUNE_GROWTH * bounds.lower.size_at_last_prune:
         prune_lower(bounds.lower)
-    bounds.upper.add_point(b, upper_point_value)
+    bounds.upper.add_point(b, max(branch.q for branch in expansion))
     if bounds.upper.num_points >= PRUNE_GROWTH * bounds.upper.size_at_last_prune:
         prune_upper(model, bounds.upper)
     return bounds

@@ -5,7 +5,6 @@ Subcommands:
     anytime         anytime planning under a wall-clock budget
     gen-rocksample  write a RockSample[n,k] instance as a `.pomdp` file
     evaluate        Monte Carlo evaluation of a saved policy
-    bench           run a JSON suite of (model, budget) rows, emit traces + table
 
 Exit codes: 0 success, 1 usage or input error, 2 partial result (timeout or
 trial cap). Set HSVI_LOG to a logging level name for diagnostics.
@@ -14,7 +13,6 @@ trial cap). Set HSVI_LOG to a logging level name for diagnostics.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import os
@@ -109,7 +107,7 @@ def cmd_evaluate(args):
     lb = lower_bound_from_policy(policy)
     config = EvalConfig(num_episodes=args.episodes, horizon=args.horizon,
                         seed=args.seed, discounted=not args.undiscounted)
-    result = evaluate(model, lb, config, jobs=args.jobs)
+    result = evaluate(model, lb, config)
     payload = {
         "mean": result.mean,
         "stderr": result.stderr,
@@ -127,60 +125,6 @@ def cmd_evaluate(args):
         print(f"truncation bound: {result.truncation_bound:.3g}  "
               f"aborted: {result.aborted_episodes}")
     return 0
-
-
-BENCH_COLUMNS = ("name", "states", "actions", "observations", "lower_b0",
-                 "upper_b0", "mean_reward", "ci95", "num_vectors", "wall_time_s")
-
-
-def cmd_bench(args):
-    with open(args.suite) as handle:
-        suite = json.load(handle)
-    rows = suite.get("rows", [])
-    out_dir = suite.get("out_dir") or os.path.dirname(os.path.abspath(args.suite))
-    os.makedirs(out_dir, exist_ok=True)
-
-    table = []
-    failed = 0
-    for row in rows:
-        name = row.get("name") or os.path.basename(row["model"])
-        try:
-            table.append(_bench_row(name, row, out_dir))
-        except (HsviError, OSError, KeyError, ValueError) as exc:
-            failed += 1
-            print(f"row {name!r} failed: {exc}", file=sys.stderr)
-
-    table_path = os.path.join(out_dir, "bench.csv")
-    with open(table_path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(BENCH_COLUMNS)
-        writer.writerows(table)
-    print("\t".join(BENCH_COLUMNS))
-    for entry in table:
-        print("\t".join(str(v) for v in entry))
-    return 2 if failed else 0
-
-
-def _bench_row(name, row, out_dir):
-    model = load_pomdp(row["model"])
-    config = SolverConfig(
-        epsilon=row.get("epsilon", 1e-6),
-        timeout_s=row["timeout_s"],
-    )
-    result = solve_anytime(model, config)
-    result.trace.write_csv(os.path.join(out_dir, f"{name}.trace.csv"))
-    eval_config = EvalConfig(
-        num_episodes=row.get("episodes", 500),
-        horizon=row.get("horizon", 251),
-        seed=row.get("seed", 0),
-    )
-    stats = evaluate(model, result.bounds.lower, eval_config)
-    return (
-        name, model.num_states, model.num_actions, model.num_observations,
-        f"{result.trace.lower_b0[-1]:.6g}", f"{result.trace.upper_b0[-1]:.6g}",
-        f"{stats.mean:.6g}", f"{stats.ci95_half_width:.6g}",
-        len(result.bounds.lower), f"{result.trace.wall_time_s[-1]:.1f}",
-    )
 
 
 def build_parser():
@@ -224,15 +168,10 @@ def build_parser():
     p.add_argument("--episodes", type=int, default=500)
     p.add_argument("--horizon", type=int, default=251)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--json", action="store_true")
     p.add_argument("--undiscounted", action="store_true",
                    help="sum raw rewards instead of discounted returns")
     p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("bench", help="run a JSON benchmark suite")
-    p.add_argument("suite")
-    p.set_defaults(func=cmd_bench)
     return parser
 
 

@@ -1,9 +1,9 @@
 """Closed-loop Monte Carlo evaluation of a direct-control policy.
 
 The policy executes, at every belief, the action tag of the alpha vector that
-maximizes the lower bound there. Episodes are independently seeded from
-(seed, episode index), so results do not depend on execution order and
-episodes can run in parallel.
+maximizes the lower bound there. Each episode draws from its own stream,
+seeded from (seed, episode index, retry), so an episode's return does not
+depend on the episodes run before it.
 """
 
 from __future__ import annotations
@@ -92,16 +92,15 @@ def simulate_episode(model, lb, config, episode_seed):
     return _run_episode(model, lb, config, rng, model.absorbing_zero_reward_states())
 
 
-def _run_episode_range(model, lb, config, first, count):
+def _run_episodes(model, lb, config):
     absorbing = model.absorbing_zero_reward_states()
-    returns = np.empty(count)
+    returns = np.empty(config.num_episodes)
     aborted = 0
-    for offset in range(count):
-        episode = first + offset
+    for episode in range(config.num_episodes):
         for retry in range(MAX_EPISODE_RETRIES):
             rng = np.random.default_rng([config.seed, episode, retry])
             try:
-                returns[offset] = _run_episode(model, lb, config, rng, absorbing)
+                returns[episode] = _run_episode(model, lb, config, rng, absorbing)
                 break
             except ZeroProbabilityObservation:
                 aborted += 1
@@ -111,29 +110,9 @@ def _run_episode_range(model, lb, config, first, count):
     return returns, aborted
 
 
-def _episode_batch(payload):
-    return _run_episode_range(*payload)
-
-
-def evaluate(model, lb, config, jobs=1):
-    """Run config.num_episodes independent episodes and summarize.
-
-    Episode streams depend only on (seed, episode index), so jobs > 1 splits
-    the episodes across processes without changing any result.
-    """
-    if jobs > 1 and config.num_episodes > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        jobs = min(jobs, config.num_episodes)
-        bounds = np.linspace(0, config.num_episodes, jobs + 1).astype(int)
-        payloads = [(model, lb, config, int(lo), int(hi - lo))
-                    for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_episode_batch, payloads))
-        returns = np.concatenate([p[0] for p in parts])
-        aborted = sum(p[1] for p in parts)
-    else:
-        returns, aborted = _run_episode_range(model, lb, config, 0, config.num_episodes)
+def evaluate(model, lb, config):
+    """Run config.num_episodes independent episodes and summarize."""
+    returns, aborted = _run_episodes(model, lb, config)
 
     mean = float(returns.mean())
     if config.num_episodes > 1:

@@ -523,8 +523,6 @@ def lower_bound_from_policy(policy):
     lb = LowerBound(policy.num_states)
     for action, vector in policy.entries:
         lb.add(AlphaVector(np.asarray(vector, dtype=np.float64), action))
-    lb.size_at_last_prune = max(len(lb), 1)
-    lb._pruned_prefix = len(lb)
     return lb
 
 

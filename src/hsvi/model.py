@@ -112,13 +112,6 @@ class Belief:
             self._mask = m
         return self._mask
 
-    def l1_distance(self, other):
-        merged = np.union1d(self.states, other.states)
-        a = np.zeros(merged.size)
-        a[np.searchsorted(merged, self.states)] = self.probs
-        a[np.searchsorted(merged, other.states)] -= other.probs
-        return float(np.abs(a).sum())
-
     def __len__(self):
         return self.states.size
 
@@ -229,12 +222,6 @@ class PomdpModel:
                 raise ValidationError(f"{label} name list has wrong length")
 
     # -- convenience accessors -------------------------------------------
-
-    def dense_transition(self):
-        """Full (A, S, S) array; guarded, intended for small models and tests."""
-        if self.num_actions * self.num_states ** 2 > 50_000_000:
-            raise ValidationError("transition tensor too large to densify")
-        return np.stack([t.toarray() for t in self.transition])
 
     def absorbing_zero_reward_states(self):
         """Boolean (S,) mask of states with T(s,a,s)=1 and R(s,a)=0 for all a."""

@@ -6,7 +6,9 @@ chosen by the highest upper-bound Q value, observations by the largest
 probability-weighted excess uncertainty, and the bounds are locally updated
 at every visited belief on the way back up. The search is an iterative loop
 (a descent that records the path, then the updates in reverse order), so its
-depth is not limited by the interpreter's stack; updates are in place
+depth is not limited by the interpreter's stack. Each visited belief is
+expanded once: the descent's expansion picks the action and the observation,
+and the update at that belief reads the same expansion. Updates are in place
 (Gauss-Seidel) and the whole run is deterministic.
 """
 
@@ -179,8 +181,8 @@ def _trial(model, bounds, b, t, epsilon, t_max, deadline):
     choose_action and choose_observation, and stops at the first node whose
     children are all finished; a child that choose_observation picks is
     unfinished by construction. Then every belief on the path is updated,
-    deepest first, with the Q value its expansion already holds. A trial cut
-    by the deadline applies no update.
+    deepest first, from the expansion the descent made there. A trial cut by
+    the deadline applies no update.
     """
     gamma = model.discount
     target = epsilon if (t == 0 or gamma == 0.0) else epsilon * gamma ** (-t)
@@ -194,14 +196,14 @@ def _trial(model, bounds, b, t, epsilon, t_max, deadline):
                 return 0, t, True
             expansion = expand(model, bounds.upper.value, b)
             branch = expansion[choose_action(expansion)]
-            path.append((b, branch.q))
+            path.append((b, expansion))
             o_star = choose_observation(model, bounds, branch, epsilon, t)
             if o_star is None:
                 break
             b = branch.posteriors[o_star]
             t += 1
-    for b, best_q in reversed(path):
-        apply_update(model, bounds, b, best_q)
+    for b, expansion in reversed(path):
+        apply_update(model, bounds, b, expansion)
     return len(path), t, False
 
 
@@ -247,12 +249,14 @@ def _drive(model, config, anytime):
     t_max = depth_bound(config.epsilon, gap0, gamma)
 
     def record(trial, depth):
+        lower_b0 = bounds.lower.value(b0)
+        upper_b0 = bounds.upper.value(b0)
         trace.append(
             trial=trial,
             wall_time_s=time.monotonic() - start,
-            lower_b0=bounds.lower.value(b0),
-            upper_b0=bounds.upper.value(b0),
-            width=bounds.upper.value(b0) - bounds.lower.value(b0),
+            lower_b0=lower_b0,
+            upper_b0=upper_b0,
+            width=upper_b0 - lower_b0,
             num_vectors=len(bounds.lower),
             num_points=bounds.upper.num_points,
             updates=total_updates,
@@ -265,7 +269,7 @@ def _drive(model, config, anytime):
     trial = 0
     terminated_by = None
     while True:
-        width = bounds.upper.value(b0) - bounds.lower.value(b0)
+        width = trace.width[-1]
         if width <= final_target:
             terminated_by = "epsilon-reached"
             break
@@ -289,7 +293,7 @@ def _drive(model, config, anytime):
                   trial, trace.width[-1], len(bounds.lower),
                   bounds.upper.num_points, depth)
 
-    final_width = bounds.upper.value(b0) - bounds.lower.value(b0)
+    final_width = trace.width[-1]
     log.info("%s after %d trials, %d updates: width %.6g",
              terminated_by, trial, total_updates, final_width)
     return SolveResult(

@@ -20,6 +20,7 @@ from hsvi import (
     RockSampleParams,
     SolverConfig,
     evaluate,
+    expand,
     gen_rocksample,
     hull_projection,
     load_pomdp,
@@ -282,7 +283,7 @@ def test_criterion_7_backup_definition_equivalence():
         for i, vec in enumerate(vectors):
             lb.add(AlphaVector(vec, int(i % na)))
         b = Belief.from_dense(rng.dirichlet(np.ones(ns)))
-        beta = backup_lower(model, lb, b)
+        beta = backup_lower(model, lb, b, expand(model, lb.value, b))
         value_fn = lambda dense: oracles.lower_value_naive(vectors, dense)
         expected = max(oracles.q_value_naive(t, o, r, 0.9, value_fn, b.to_dense(), a)
                        for a in range(na))

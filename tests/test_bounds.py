@@ -226,7 +226,7 @@ def test_backup_zero_set_returns_best_immediate_reward(rng):
     lb = LowerBound(3)
     lb.add(AlphaVector(np.zeros(3), 0))
     b = Belief.from_dense(rng.dirichlet(np.ones(3)))
-    beta = backup_lower(m, lb, b)
+    beta = backup_lower(m, lb, b, expand(m, lb.value, b))
     scores = [float(m.reward[a][b.states] @ b.probs) for a in range(3)]
     best = int(np.argmax(scores))
     assert beta.action == best
@@ -236,7 +236,8 @@ def test_backup_zero_set_returns_best_immediate_reward(rng):
 def test_backup_single_action_tag():
     m = tiny_deterministic_model()
     bounds = init_bounds(m)
-    beta = backup_lower(m, bounds.lower, m.initial_belief)
+    b0 = m.initial_belief
+    beta = backup_lower(m, bounds.lower, b0, expand(m, bounds.lower.value, b0))
     assert beta.action == 0
 
 
@@ -252,7 +253,7 @@ def test_backup_value_equals_definitional_bellman(rng):
         for i, v in enumerate(vectors):
             lb.add(AlphaVector(v, int(i % na)))
         b = Belief.from_dense(rng.dirichlet(np.ones(ns)))
-        beta = backup_lower(m, lb, b)
+        beta = backup_lower(m, lb, b, expand(m, lb.value, b))
         value_fn = lambda dense: oracles.lower_value_naive(vectors, dense)
         expected = max(
             oracles.q_value_naive(t, o, r, 0.9, value_fn, b.to_dense(), a)

@@ -90,47 +90,6 @@ def test_evaluate_dimension_mismatch(zero_model_path, tmp_path, capsys):
     assert "|S|" in capsys.readouterr().err
 
 
-def test_bench_empty_suite(tmp_path, capsys):
-    suite = tmp_path / "suite.json"
-    suite.write_text(json.dumps({"rows": [], "out_dir": str(tmp_path)}))
-    assert main(["bench", str(suite)]) == 0
-    with open(tmp_path / "bench.csv") as handle:
-        rows = list(csv.reader(handle))
-    assert len(rows) == 1  # header only
-
-
-def test_bench_zero_reward_row(zero_model_path, tmp_path, capsys):
-    suite = tmp_path / "suite.json"
-    suite.write_text(json.dumps({
-        "out_dir": str(tmp_path),
-        "rows": [{"name": "zero", "model": zero_model_path, "timeout_s": 5,
-                  "episodes": 3, "horizon": 10}],
-    }))
-    assert main(["bench", str(suite)]) == 0
-    with open(tmp_path / "bench.csv") as handle:
-        rows = list(csv.DictReader(handle))
-    assert rows[0]["name"] == "zero"
-    assert float(rows[0]["lower_b0"]) == 0.0
-    assert float(rows[0]["upper_b0"]) == 0.0
-    assert (tmp_path / "zero.trace.csv").exists()
-
-
-def test_bench_keeps_going_after_bad_row(zero_model_path, tmp_path, capsys):
-    suite = tmp_path / "suite.json"
-    suite.write_text(json.dumps({
-        "out_dir": str(tmp_path),
-        "rows": [
-            {"name": "broken", "model": "/missing.pomdp", "timeout_s": 1},
-            {"name": "zero", "model": zero_model_path, "timeout_s": 5,
-             "episodes": 2, "horizon": 5},
-        ],
-    }))
-    assert main(["bench", str(suite)]) == 2
-    with open(tmp_path / "bench.csv") as handle:
-        rows = list(csv.DictReader(handle))
-    assert [r["name"] for r in rows] == ["zero"]
-
-
 def test_solve_trace_monotone_on_random_model(tmp_path):
     rng = np.random.default_rng(0)
     t = rng.dirichlet(np.ones(3), size=(2, 3))

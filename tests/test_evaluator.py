@@ -145,15 +145,6 @@ def test_evaluate_reproducible_bit_for_bit(rng):
     np.testing.assert_array_equal(r1.returns, r2.returns)
 
 
-def test_evaluate_parallel_matches_sequential(rng):
-    m = oracles.random_pomdp(rng, 3, 2, 2, 0.9)
-    lb = init_lower(m)
-    cfg = EvalConfig(num_episodes=24, horizon=40, seed=5)
-    seq = evaluate(m, lb, cfg, jobs=1)
-    par = evaluate(m, lb, cfg, jobs=2)
-    np.testing.assert_array_equal(seq.returns, par.returns)
-
-
 def test_evaluate_ci_and_truncation_bound(rng):
     m = oracles.random_pomdp(rng, 3, 2, 2, 0.9)
     lb = init_lower(m)

@@ -110,9 +110,11 @@ def _degenerate_projections(draw):
     value = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0])
     rows = list(np.eye(d))
     vals = [draw(value) for _ in range(d)]
+    near_corner = set()
     for _ in range(draw(st.integers(0, 4))):
         if draw(st.booleans()):
             point, s = _near_corner(draw, d)
+            near_corner.add(len(rows))
             rows.append(point)
             vals.append(vals[s])
         else:
@@ -120,7 +122,10 @@ def _degenerate_projections(draw):
             vals.append(draw(value))
     for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=2)):
         rows.append(rows[i])
-        vals.append(draw(st.sampled_from([vals[i], draw(value)])))
+        if i in near_corner:
+            vals.append(vals[i])  # a copy is next to the same corner
+        else:
+            vals.append(draw(st.sampled_from([vals[i], draw(value)])))
     query = draw(st.sampled_from([
         rows[draw(st.integers(0, len(rows) - 1))],
         _near_corner(draw, d)[0],

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
+import hsvi.bounds as bounds_module
 import hsvi.solver as solver_module
 from conftest import zero_reward_model
 from hsvi import (
@@ -166,9 +167,9 @@ def test_explore_finishes_an_unfinished_node(rng, monkeypatch):
     updated = []
     original = solver_module.apply_update
 
-    def tracking(model, bounds_, b, upper_point_value):
+    def tracking(model, bounds_, b, expansion):
         updated.append(b)
-        return original(model, bounds_, b, upper_point_value)
+        return original(model, bounds_, b, expansion)
 
     def excess(b, t):
         width = bounds.upper.value(b) - bounds.lower.value(b)
@@ -182,6 +183,28 @@ def test_explore_finishes_an_unfinished_node(rng, monkeypatch):
     assert visited[0] is b0
     finished = [node for depth, node in enumerate(visited) if excess(node, depth) <= 0]
     assert len(finished) >= 1
+
+
+def test_trial_expands_each_visited_belief_once(rng, monkeypatch):
+    m = oracles.random_pomdp(rng, 3, 3, 2, 0.9)
+    bounds = init_bounds(m)
+    updated = []
+    original_update = solver_module.apply_update
+    monkeypatch.setattr(solver_module, "apply_update",
+                        lambda *args: updated.append(args[2]) or original_update(*args))
+    kernel_calls = []
+    original_kernel = bounds_module.successor_distributions
+    monkeypatch.setattr(bounds_module, "successor_distributions",
+                        lambda *args: kernel_calls.append((id(args[1]), args[2]))
+                        or original_kernel(*args))
+    # prune_upper re-expands every stored point by design; keep it out of the count
+    monkeypatch.setattr(bounds_module, "PRUNE_GROWTH", math.inf)
+    gap = float(bounds.upper.corner_values.max() - bounds.lower.matrix.min(axis=1).max())
+    updates, _, _ = solver_module._trial(m, bounds, m.initial_belief, 0, 0.01,
+                                         depth_bound(0.01, gap, 0.9), None)
+    assert updates == len(updated) >= 2
+    expected = sorted((id(b), a) for b in updated for a in range(m.num_actions))
+    assert sorted(kernel_calls) == expected
 
 
 def test_deep_trial_leaves_recursion_limit_alone():
