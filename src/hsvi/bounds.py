@@ -102,9 +102,14 @@ class UpperBound:
     to the query's support: only points whose support is contained in the
     query's can carry weight, and the matching constraints outside that
     support are trivially satisfied, so the projection value is unchanged.
-    Row matrices and the last optimal basis are cached per support pattern
-    (queries repeat the same patterns heavily); the cache is emptied whenever
-    the point set changes shape.
+    Queries repeat the same support patterns heavily, so each pattern caches
+    the indices of its interior points, their constraint matrix (the
+    contiguous transpose of the point rows, corners first) and the last
+    optimal basis with its inverse; a repeat query then usually costs one
+    product with that inverse and no pivot. The cache is emptied whenever a
+    point is added or removed. Values are not cached: they are read afresh
+    on every query, because ``add_point`` and ``prune_upper`` lower stored
+    values in place.
     """
 
     def __init__(self, corner_values):
@@ -136,7 +141,7 @@ class UpperBound:
         return corners + self.interior_points
 
     def _lp_pieces(self, b):
-        """(interior indices, stacked point rows, basis cache) for b's support."""
+        """(interior indices, constraint matrix, warm state) for b's support."""
         key = b.support_mask()
         cached = self._lp_cache.get(key)
         if cached is not None:
@@ -145,26 +150,26 @@ class UpperBound:
         k = support.size
         picked = [i for i, point in enumerate(self._beliefs)
                   if point.support_mask() | key == key]
-        rows = np.zeros((k + len(picked), k))
-        rows[:k] = np.eye(k)
+        columns = np.zeros((k, k + len(picked)))
+        columns[:, :k] = np.eye(k)
         for j, i in enumerate(picked):
             point = self._beliefs[i]
-            rows[k + j, np.searchsorted(support, point.states)] = point.probs
+            columns[np.searchsorted(support, point.states), k + j] = point.probs
         picked = np.asarray(picked, dtype=np.intp)
-        extra = {}
-        self._lp_cache[key] = (picked, rows, extra)
-        return picked, rows, extra
+        warm = {"basis": None, "inverse": None}
+        self._lp_cache[key] = (picked, columns, warm)
+        return picked, columns, warm
 
     def value(self, b):
         if len(b) == 1:
             return float(self.corner_values[b.states[0]])
-        picked, rows, extra = self._lp_pieces(b)
+        picked, columns, warm = self._lp_pieces(b)
         k = b.states.size
         values = np.concatenate([self.corner_values[b.states], self._value_arr[picked]])
-        solution = projection_lp(rows, values, b.probs,
-                                 corner_columns=np.arange(k),
-                                 warm_basis=extra.get("basis"))
-        extra["basis"] = solution.basis
+        solution = projection_lp(columns.T, values, b.probs, np.arange(k),
+                                 warm_basis=warm["basis"], warm_inverse=warm["inverse"])
+        warm["basis"] = solution.basis
+        warm["inverse"] = solution.inverse
         return solution.value
 
     def add_point(self, b, value):

@@ -1,22 +1,32 @@
-"""Dense linear-program kernel for convex-hull projections.
+"""Revised-simplex kernel for convex-hull projections.
 
 A hull projection of a query q onto a point set {(p_i, v_i)} is the LP
 
     minimize    Σ λ_i v_i
-    subject to  Σ λ_i p_i = q,  Σ λ_i = 1,  λ >= 0
+    subject to  Σ λ_i p_i = q,  λ >= 0
 
-and the point set always holds the simplex corners of q's support. Those
-corner columns form a primal-feasible basis (their weights are q's masses),
-so the primal simplex never needs a phase 1: it starts from the caller's
-warm basis when that is still feasible, else from the corner basis.
+with one matching row per coordinate of q. Every p_i and q sums to one, so
+the rows already imply Σ λ_i = 1. The point set always holds the simplex
+corners of q's support; they are unit columns, so the corner basis has the
+identity as its inverse and q as its weights, and the primal simplex never
+needs a phase 1 nor a factorisation. The kernel keeps the basis inverse B⁻¹
+explicitly, prices with c − (c_B B⁻¹) A and updates B⁻¹ by a rank-1 pivot.
 Pivoting is steepest-descent (Dantzig) until progress stalls on degenerate
 pivots, then switches permanently to Bland's rule, whose lowest-index
-discipline rules out cycling; ties in the ratio test always break toward the
-lowest basic index, so runs are deterministic. The problems are tiny (one
-row per support state), so a dense tableau with a hard iteration cap is the
-robust choice. On near-degenerate point sets, pivots on tiny coefficients
-can still stall both starts at the cap; the same LP then goes to scipy's
-HiGHS, whose answer is checked for feasibility before it is used.
+discipline rules out cycling. The ratio test takes as tied every row within
+the Harris bound min_i (x_i + PIVOT_TOL) / α_i, so no pivot drives a basic
+weight below −PIVOT_TOL, and ties always break toward the lowest basic index,
+so runs are deterministic.
+
+A start is the caller's warm basis (with its inverse, when the caller kept
+one) if it is still feasible for q, then the corner basis. Every answer is
+checked before it is used: after one step of iterative refinement, its
+weights must be non-negative and meet the matching rows to FEAS_TOL, which
+makes it a sound upper bound even where round-off has drifted B⁻¹. An answer that fails the check is pivoted on
+once more from a freshly inverted final basis; if it fails again, or a start
+stalls at the iteration cap, the next start takes over. After the corner
+start, the same LP goes to scipy's HiGHS, whose answer is checked the same
+way.
 """
 
 from __future__ import annotations
@@ -37,27 +47,19 @@ HIGHS_TOL = 1e-10
 class LpSolution:
     value: float
     x: np.ndarray
-    basis: list | None  # None after the HiGHS fallback: no basis to warm-start from
+    basis: np.ndarray | None    # None after the HiGHS fallback: no basis to warm-start from
+    inverse: np.ndarray | None  # B⁻¹ of ``basis``
     iterations: int
     residual: float
 
 
-def _pivot(tableau, basis, row, col):
-    piv = tableau[row] / tableau[row, col]
-    column = tableau[:, col].copy()
-    tableau -= np.outer(column, piv)
-    tableau[row] = piv
-    basis[row] = col
-
-
-def _run_simplex(tableau, basis, costs, max_iter):
+def _run_simplex(a, c, basis, inverse, x_basic, max_iter):
     """Optimize in place; returns the number of pivots performed."""
     iterations = 0
     stall = 0
     bland = False
-    ncols = tableau.shape[1] - 1
     while True:
-        reduced = costs[:ncols] - costs[basis] @ tableau[:, :ncols]
+        reduced = c - (c[basis] @ inverse) @ a
         reduced[basis] = 0.0
         if bland:
             negative = np.flatnonzero(reduced < -PIVOT_TOL)
@@ -70,16 +72,24 @@ def _run_simplex(tableau, basis, costs, max_iter):
                 return iterations
         if iterations >= max_iter:
             raise MaxIterations(f"simplex exceeded {max_iter} iterations")
-        coeffs = tableau[:, col]
+        coeffs = inverse @ a[:, col]
         eligible = np.flatnonzero(coeffs > PIVOT_TOL)
         if eligible.size == 0:
             raise Unbounded("objective unbounded below")
-        ratios = tableau[eligible, -1] / coeffs[eligible]
-        best = ratios.min()
-        ties = eligible[ratios <= best + PIVOT_TOL]
+        # Rows tie when their ratio is within the Harris bound: pivoting on
+        # any of them leaves no basic weight below -PIVOT_TOL, however large
+        # the other rows' coefficients are.
+        ratios = x_basic[eligible] / coeffs[eligible]
+        bound = ((x_basic[eligible] + PIVOT_TOL) / coeffs[eligible]).min()
+        ties = eligible[ratios <= bound]
         row = int(ties[np.argmin(basis[ties])])
-        step = tableau[row, -1] / coeffs[row]
-        _pivot(tableau, basis, row, col)
+        step = x_basic[row] / coeffs[row]
+        pivot_row = inverse[row] / coeffs[row]
+        inverse -= np.outer(coeffs, pivot_row)
+        inverse[row] = pivot_row
+        x_basic -= step * coeffs
+        x_basic[row] = step
+        basis[row] = col
         iterations += 1
         if not bland:
             # Dantzig makes no progress on degenerate pivots; hand over to
@@ -89,77 +99,116 @@ def _run_simplex(tableau, basis, costs, max_iter):
                 bland = True
 
 
-def _from_basis(a, b, c, basis, max_iter):
-    """Simplex from ``basis``; None if it is not square, nonsingular and primal
-    feasible. Raises MaxIterations / Unbounded when the pivoting breaks down."""
-    m, n = a.shape
+def _checked(a, q, c, x_basic, basis, inverse, iterations):
+    """The answer of an optimal basis, or None when its weights are not a
+    sound upper bound: a weight below -FEAS_TOL, or, once round-off negatives
+    are clipped to zero, a miss on the matching rows by more than FEAS_TOL.
+
+    The weights first get one step of iterative refinement, because the
+    pivots' round-off leaves them off the basis's exact solution.
+    """
+    a_basic = a[:, basis]
+    x_basic = x_basic + inverse @ (q - a_basic @ x_basic)
+    if x_basic.min() < -FEAS_TOL:
+        return None
+    weights = np.maximum(x_basic, 0.0)
+    residual = float(np.abs(a_basic @ weights - q).max())
+    if residual > FEAS_TOL:
+        return None
+    x = np.zeros(a.shape[1])
+    x[basis] = weights
+    return LpSolution(float(c[basis] @ weights), x, basis, inverse, iterations, residual)
+
+
+def _from_basis(a, q, c, basis, inverse, max_iter):
+    """Simplex from ``basis`` with B⁻¹ ``inverse``, which is updated in
+    place; None if the basis is not primal feasible, if the pivoting breaks
+    down (MaxIterations / Unbounded) or if its answer fails the check.
+
+    An answer that fails the check usually means round-off has drifted B⁻¹
+    away from the basis it stands for, so B⁻¹ is refactored once from the
+    final basis and the simplex resumes from there.
+    """
     basis = np.array(basis, dtype=np.int64)
-    if basis.shape != (m,) or basis.min() < 0 or basis.max() >= n or np.unique(basis).size != m:
+    iterations = 0
+    for refactored in (False, True):
+        x_basic = inverse @ q
+        if x_basic.min() < -PIVOT_TOL:
+            return None
+        try:
+            iterations += _run_simplex(a, c, basis, inverse, x_basic, max_iter)
+        except LpFailure:
+            return None
+        solution = _checked(a, q, c, x_basic, basis, inverse, iterations)
+        if solution is not None or refactored:
+            return solution
+        try:
+            inverse = np.linalg.inv(a[:, basis])
+        except np.linalg.LinAlgError:
+            return None
+
+
+def _warm_inverse(a, basis, inverse):
+    """A copy of the caller's B⁻¹, or B⁻¹ by inversion when the caller kept
+    none; None if ``basis`` is not a square, nonsingular basis of ``a``."""
+    if inverse is not None:
+        return inverse.copy()
+    d, n = a.shape
+    basis = np.asarray(basis)
+    if basis.shape != (d,) or basis.min() < 0 or basis.max() >= n or np.unique(basis).size != d:
         return None
     try:
-        tableau = np.linalg.solve(a[:, basis], np.column_stack([a, b]))
+        return np.linalg.inv(a[:, basis])
     except np.linalg.LinAlgError:
         return None
-    if tableau[:, -1].min() < -PIVOT_TOL:
-        return None
-    iterations = _run_simplex(tableau, basis, c, max_iter)
-    x = np.zeros(n)
-    x[basis] = tableau[:, -1]
-    residual = float(np.abs(a @ x - b).max())
-    return LpSolution(float(c @ x), x, [int(j) for j in basis], iterations, residual)
 
 
-def _highs(a, b, c):
+def _highs(a, q, c):
     """The same LP through HiGHS, for when both simplex starts break down.
 
-    Any x >= 0 with A x = b yields a sound upper bound, so the answer is
+    Any x >= 0 with A x = q yields a sound upper bound, so the answer is
     checked rather than trusted: round-off negatives are clipped to zero and
     the weights must then meet the constraints to FEAS_TOL.
     """
     from scipy.optimize import linprog  # only loaded on this rare path
 
-    result = linprog(c, A_eq=a, b_eq=b, bounds=(0, None), method="highs",
+    result = linprog(c, A_eq=a, b_eq=q, bounds=(0, None), method="highs",
                      options={"primal_feasibility_tolerance": HIGHS_TOL,
                               "dual_feasibility_tolerance": HIGHS_TOL})
     if result.x is None:
         raise LpFailure(f"HiGHS fallback failed: {result.message}")
     x = np.maximum(result.x, 0.0)
-    residual = float(np.abs(a @ x - b).max())
+    residual = float(np.abs(a @ x - q).max())
     if residual > FEAS_TOL:
         raise LpFailure(f"HiGHS fallback weights miss the constraints by {residual:.3g}")
-    return LpSolution(float(c @ x), x, None, int(result.nit), residual)
+    return LpSolution(float(c @ x), x, None, None, int(result.nit), residual)
 
 
-def projection_lp(point_rows, point_values, query_vec, corner_columns, warm_basis=None):
+def projection_lp(point_rows, point_values, query_vec, corner_columns,
+                  warm_basis=None, warm_inverse=None):
     """Value of the lower convex hull of (point, value) pairs at ``query_vec``.
 
     ``point_rows`` is (n_points, d) with rows on the d-dimensional probability
     simplex, ``query_vec`` lies on the same simplex, and ``corner_columns[s]``
-    is the row holding corner e_s. Because every row sums to one, the
-    componentwise matching constraints make one row redundant; the system
-    solved is the full-rank reduction (first d-1 coordinates plus the
-    convex-combination row). The simplex starts from ``warm_basis`` when it is
-    given and still feasible, then from the corner basis if that start breaks
-    down, and hands the LP to HiGHS if the corner start breaks down too.
+    is the row holding corner e_s. The constraint matrix is ``point_rows.T``;
+    pass the transpose of a C-contiguous (d, n_points) array to avoid a copy.
+    The simplex starts from ``warm_basis`` (with B⁻¹ ``warm_inverse``, e.g.
+    the ``basis`` and ``inverse`` of an earlier solution on the same rows)
+    when it is given and still feasible, then from the corner basis, and
+    hands the LP to HiGHS if neither start yields a checked answer.
     """
-    d = query_vec.size
-    n = point_rows.shape[0]
-    eq = np.empty((d, n))
-    eq[: d - 1] = point_rows.T[: d - 1]
-    eq[d - 1] = 1.0
-    rhs = np.empty(d)
-    rhs[: d - 1] = query_vec[: d - 1]
-    rhs[d - 1] = 1.0
+    a = np.ascontiguousarray(point_rows.T)
+    c = np.asarray(point_values, dtype=np.float64)
+    d, n = a.shape
     max_iter = 10 * (n + d)
-    starts = [corner_columns] if warm_basis is None else [warm_basis, corner_columns]
-    for basis in starts:
-        try:
-            solution = _from_basis(eq, rhs, point_values, basis, max_iter)
-        except LpFailure:
-            continue
-        if solution is not None:
-            return solution
-    return _highs(eq, rhs, point_values)
+    if warm_basis is not None:
+        inverse = _warm_inverse(a, warm_basis, warm_inverse)
+        if inverse is not None:
+            solution = _from_basis(a, query_vec, c, warm_basis, inverse, max_iter)
+            if solution is not None:
+                return solution
+    solution = _from_basis(a, query_vec, c, corner_columns, np.eye(d), max_iter)
+    return solution if solution is not None else _highs(a, query_vec, c)
 
 
 def hull_projection(points, query):
@@ -167,7 +216,7 @@ def hull_projection(points, query):
 
     ``points`` is a sequence of (Belief, value) pairs that must include every
     simplex corner (that is what makes the projection feasible for any query).
-    Returns min Σ λ_i v_i subject to Σ λ_i b_i = query, Σ λ_i = 1, λ ≥ 0.
+    Returns min Σ λ_i v_i subject to Σ λ_i b_i = query, λ ≥ 0.
     """
     num_states = query.num_states
     rows = np.empty((len(points), num_states))

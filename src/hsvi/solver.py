@@ -174,11 +174,13 @@ def choose_observation(model, bounds, branch, epsilon, t):
     return best_o
 
 
-def _trial(model, bounds, b, t, epsilon, t_max, deadline):
+def _trial(model, bounds, b, t, epsilon, t_max, deadline, width):
     """One trial from belief b at depth t: (updates, deepest depth, timed out).
 
-    The descent expands each belief once against the upper bound, follows
-    choose_action and choose_observation, and stops at the first node whose
+    ``width`` is the current gap between the bounds at b; the trial does
+    nothing when it is within the target. The descent expands each belief
+    once against the upper bound, follows choose_action and
+    choose_observation, and stops at the first node whose
     children are all finished; a child that choose_observation picks is
     unfinished by construction. Then every belief on the path is updated,
     deepest first, from the expansion the descent made there. A trial cut by
@@ -187,7 +189,7 @@ def _trial(model, bounds, b, t, epsilon, t_max, deadline):
     gamma = model.discount
     target = epsilon if (t == 0 or gamma == 0.0) else epsilon * gamma ** (-t)
     path = []
-    if bounds.upper.value(b) - bounds.lower.value(b) > target:
+    if width > target:
         while True:
             if t > t_max + DEPTH_MARGIN:
                 raise DepthCapExceeded(
@@ -281,7 +283,8 @@ def _drive(model, config, anytime):
             break
         trial_epsilon = max(config.zeta * width, MACHINE_WIDTH) if anytime else config.epsilon
         t_max = depth_bound(trial_epsilon, gap0, gamma)
-        updates, depth, timed_out = _trial(model, bounds, b0, 0, trial_epsilon, t_max, deadline)
+        updates, depth, timed_out = _trial(model, bounds, b0, 0, trial_epsilon, t_max,
+                                           deadline, width)
         total_updates += updates
         if timed_out:
             record(trial + 1, depth)
@@ -317,5 +320,6 @@ def explore(model, bounds, b, epsilon, t):
     """
     gap = float(bounds.upper.corner_values.max() - bounds.lower.matrix.min(axis=1).max())
     t_max = depth_bound(epsilon, gap, model.discount)
-    _trial(model, bounds, b, t, epsilon, t_max + t, None)
+    width = bounds.upper.value(b) - bounds.lower.value(b)
+    _trial(model, bounds, b, t, epsilon, t_max + t, None, width)
     return bounds

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 import oracles
-from hsvi import Belief, ValidationError, hull_projection
+from hsvi import Belief, MaxIterations, ValidationError, hull_projection
+from hsvi import lp as lp_module
+from hsvi.bounds import UpperBound
 from hsvi.lp import FEAS_TOL, projection_lp
 
 
@@ -65,10 +67,20 @@ def test_invalid_warm_basis_falls_back_to_corners(rng):
         assert got.value == pytest.approx(expected, abs=1e-10)
 
 
+def _highs_reference(rows, vals, query):
+    d = query.size
+    reference = linprog(vals, A_eq=np.vstack([rows.T[: d - 1], np.ones(len(vals))]),
+                        b_eq=np.append(query[: d - 1], 1.0), bounds=(0, None),
+                        method="highs")
+    assert reference.status == 0
+    return reference.fun
+
+
 def test_stalling_lp_falls_back_to_highs():
     # Captured from an anytime run on RockSample[5,5]: 110 points on a
-    # 32-state support. Pivots on 1e-9..1e-7 coefficients stall the simplex
-    # at its iteration cap from both the warm and the corner basis.
+    # 32-state support, with pivots on 1e-9..1e-7 coefficients. A dense
+    # tableau stalled at its iteration cap from both the warm and the corner
+    # basis here; whichever path answers, the answer must be HiGHS's optimum.
     lp = np.load(DATA / "rocksample55_stalling_lp.npz")
     rows, vals, query = lp["point_rows"], lp["point_values"], lp["query_vec"]
     sol = projection_lp(rows, vals, query, corner_columns=lp["corner_columns"],
@@ -81,6 +93,40 @@ def test_stalling_lp_falls_back_to_highs():
     assert sol.value == pytest.approx(reference.fun, abs=1e-9)
     assert sol.iterations >= 0
     assert sol.x.min() >= 0.0
+    assert np.abs(sol.x @ rows - query).max() <= FEAS_TOL
+
+
+def _stall(*args):
+    raise MaxIterations("forced")
+
+
+@pytest.mark.parametrize("step, failing", [("_run_simplex", _stall),
+                                           ("_checked", lambda *args: None)],
+                         ids=["stalls", "fails-check"])
+def test_highs_answers_when_both_starts_fail(monkeypatch, step, failing):
+    lp = np.load(DATA / "rocksample55_stalling_lp.npz")
+    rows, vals, query = lp["point_rows"], lp["point_values"], lp["query_vec"]
+    monkeypatch.setattr(lp_module, step, failing)
+    sol = projection_lp(rows, vals, query, corner_columns=lp["corner_columns"],
+                        warm_basis=lp["warm_basis"])
+    assert sol.basis is None and sol.inverse is None
+    assert sol.value == pytest.approx(_highs_reference(rows, vals, query), abs=1e-9)
+    assert sol.x.min() >= 0.0
+    assert np.abs(sol.x @ rows - query).max() <= FEAS_TOL
+
+
+def test_drifted_answer_is_rejected():
+    # Captured from an anytime run on RockSample[4,4] to width 0.01: 68 points
+    # on a 16-state support and the warm basis the query started from. An
+    # unchecked dense tableau ended at weights down to -0.02 and a value
+    # 8.6e-3 below the HiGHS optimum, i.e. below the true hull.
+    lp = np.load(DATA / "rocksample44_unchecked_lp.npz")
+    rows, vals, query = lp["point_rows"], lp["point_values"], lp["query_vec"]
+    sol = projection_lp(rows, vals, query, corner_columns=lp["corner_columns"],
+                        warm_basis=lp["warm_basis"])
+    assert sol.value == pytest.approx(_highs_reference(rows, vals, query), abs=1e-9)
+    assert sol.x.min() >= -FEAS_TOL
+    assert sol.residual <= FEAS_TOL
     assert np.abs(sol.x @ rows - query).max() <= FEAS_TOL
 
 
@@ -143,6 +189,55 @@ def test_projection_matches_caratheodory_on_degenerate_inputs(case):
     assert sol.value == pytest.approx(expected, abs=1e-6)
     assert sol.x.min() >= -FEAS_TOL
     assert np.abs(sol.x @ rows - query).max() <= FEAS_TOL
+
+
+@st.composite
+def _lowered_query_sequences(draw):
+    """An upper bound's point set, then queries, each after a few stored
+    values have been lowered by a drawn amount."""
+    d = draw(st.integers(2, 4))
+    value = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0])
+    corners = [draw(value) for _ in range(d)]
+    points = [(_simplex_point(draw, d), draw(value)) for _ in range(draw(st.integers(1, 6)))]
+    lowering = st.tuples(st.integers(0, 99), st.sampled_from([0.1, 0.5, 2.0]))
+    steps = []
+    for _ in range(draw(st.integers(2, 8))):
+        lowered = draw(st.lists(lowering, max_size=2))
+        query = draw(st.sampled_from([_simplex_point(draw, d), points[0][0]]))
+        steps.append((lowered, query))
+    return np.array(corners), points, steps
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_lowered_query_sequences())
+def test_warm_state_answers_match_caratheodory_as_values_drop(case):
+    # The upper bound keeps a warm basis and inverse per support pattern and
+    # re-reads values on every query, while add_point and prune_upper lower
+    # stored values in place. Both the bound and a kernel handed the previous
+    # answer's warm state must follow those values exactly.
+    corners, points, steps = case
+    ub = UpperBound(corners)
+    for point, v in points:
+        ub.add_point(Belief.from_dense(point), v)
+    rows = np.stack([b.to_dense() for b, _ in ub.points])
+    d = corners.size
+    basis = inverse = None
+    for lowered, query in steps:
+        for index, amount in lowered:
+            index %= ub.num_points
+            if index < d:
+                ub.corner_values[index] -= amount
+            else:
+                ub._value_arr[index - d] -= amount
+        vals = np.array([v for _, v in ub.points])
+        expected = oracles.caratheodory_projection(rows, vals, query)
+        sol = projection_lp(rows, vals, query, np.arange(d),
+                            warm_basis=basis, warm_inverse=inverse)
+        basis, inverse = sol.basis, sol.inverse
+        assert sol.value == pytest.approx(expected, abs=1e-6)
+        assert sol.x.min() >= -FEAS_TOL
+        assert np.abs(sol.x @ rows - query).max() <= FEAS_TOL
+        assert ub.value(Belief.from_dense(query)) == pytest.approx(expected, abs=1e-6)
 
 
 # ---------------------------------------------------------------------------

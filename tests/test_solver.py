@@ -153,9 +153,11 @@ def test_depth_cap_exceeded_is_internal_error(rng):
     m = oracles.random_pomdp(rng, 3, 2, 2, 0.9)
     bounds = init_bounds(m)
     b0 = m.initial_belief
+    width = bounds.upper.value(b0) - bounds.lower.value(b0)
     # a deliberately broken cap: any expansion already sits past it
     with pytest.raises(DepthCapExceeded):
-        solver_module._trial(m, bounds, b0, 0, epsilon=1e-6, t_max=-5, deadline=None)
+        solver_module._trial(m, bounds, b0, 0, epsilon=1e-6, t_max=-5, deadline=None,
+                             width=width)
 
 
 def test_explore_finishes_an_unfinished_node(rng, monkeypatch):
@@ -200,8 +202,9 @@ def test_trial_expands_each_visited_belief_once(rng, monkeypatch):
     # prune_upper re-expands every stored point by design; keep it out of the count
     monkeypatch.setattr(bounds_module, "PRUNE_GROWTH", math.inf)
     gap = float(bounds.upper.corner_values.max() - bounds.lower.matrix.min(axis=1).max())
-    updates, _, _ = solver_module._trial(m, bounds, m.initial_belief, 0, 0.01,
-                                         depth_bound(0.01, gap, 0.9), None)
+    b0 = m.initial_belief
+    updates, _, _ = solver_module._trial(m, bounds, b0, 0, 0.01, depth_bound(0.01, gap, 0.9),
+                                         None, bounds.upper.value(b0) - bounds.lower.value(b0))
     assert updates == len(updated) >= 2
     expected = sorted((id(b), a) for b in updated for a in range(m.num_actions))
     assert sorted(kernel_calls) == expected
@@ -286,15 +289,16 @@ def test_anytime_trial_epsilon_tracks_zeta_times_width(rng, monkeypatch):
     seen = []
     original = solver_module._trial
 
-    def spy(model, bounds, b, t, epsilon, t_max, deadline):
-        seen.append(epsilon)
-        return original(model, bounds, b, t, epsilon, t_max, deadline)
+    def spy(model, bounds, b, t, epsilon, t_max, deadline, width):
+        seen.append((epsilon, width))
+        return original(model, bounds, b, t, epsilon, t_max, deadline, width)
 
     monkeypatch.setattr(solver_module, "_trial", spy)
     res = solve_anytime(m, SolverConfig(epsilon=0.05, zeta=0.95, max_trials=4))
     widths = res.trace.width
-    for trial_eps, width_before in zip(seen, widths):
+    for (trial_eps, width), width_before in zip(seen, widths):
         assert trial_eps == pytest.approx(0.95 * width_before, rel=1e-12)
+        assert width == width_before  # the recorded width, not a second evaluation
 
 
 def test_anytime_converges_and_width_monotone(rng):
