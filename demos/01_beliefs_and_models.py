@@ -8,7 +8,7 @@ over cells as actions and observations stream in.
 
 import numpy as np
 
-from hsvi import Belief, PomdpModel, belief_update, observation_probability
+from hsvi import Belief, PomdpModel, belief_update, successor_distributions
 
 CELLS = 4
 DOOR_CELLS = [0, 2]
@@ -38,7 +38,7 @@ print(f"\nstart          {np.round(belief.to_dense(), 3)}")
 
 script = [(STAY, SEE_DOOR), (RIGHT, SEE_WALL), (RIGHT, SEE_DOOR)]
 for step, (action, obs) in enumerate(script, start=1):
-    chance = observation_probability(model, belief, action, obs)
+    chance = successor_distributions(model, belief, action)[0][obs]
     belief = belief_update(model, belief, action, obs)
     name = "door" if obs == SEE_DOOR else "wall"
     act = "stay " if action == STAY else "right"

@@ -4,7 +4,8 @@ The planner keeps a vector-set lower bound and a point-set upper bound on the
 optimal value function, tightens them with local updates at beliefs chosen by
 forward search, and stops when the gap at the initial belief is below the
 requested regret bound. Model parsing, a RockSample benchmark generator, a
-dense LP kernel, and a Monte Carlo policy evaluator round out the toolkit.
+revised-simplex hull LP, and a Monte Carlo policy evaluator round out the
+toolkit.
 """
 
 from .bounds import (
@@ -52,8 +53,6 @@ from .model import (
     PomdpModel,
     ValueInterval,
     belief_update,
-    expected_reward,
-    observation_probability,
     successor_distributions,
 )
 from .rocksample import RockSampleParams, gen_rocksample

@@ -16,9 +16,14 @@ format; anything else is a hard ParseError rather than being skipped):
     R: <a> : <s> : <s'> : <o> <v>
     # comment
 
-`*` is accepted in any index position. Rewards richer than R(s,a) are folded
-at load time by expectation over the model dynamics:
-R(s,a) = sum_{s',o} T(s,a,s') O(s',a,o) R(a,s,s',o).
+Every index field holds exactly one token: an index, a name, or `*` for all.
+`T:` and `O:` share one grammar routine and differ only in where the values
+go. Transitions are kept as sparse rows per action (s -> {s': p}) at every
+model size; one directive may set at most MAX_DIRECTIVE_CELLS nonzero
+transition cells, while zero assignments only clear cells and are not
+counted. Observations are kept dense (A, S, O). Rewards richer than R(s,a)
+are folded at load time by expectation over the model dynamics:
+R(s,a) = sum_{s'} T(s,a,s') sum_o O(s',a,o) R(a,s,s',o).
 
 Policy file format, line-oriented:
 
@@ -41,14 +46,17 @@ from .bounds import AlphaVector, LowerBound
 from .errors import ParseError, ValidationError
 from .model import Belief, PomdpModel
 
-# Above these element counts the parser switches to (or insists on) sparse
-# handling; matrix/uniform/broadcast forms are refused rather than silently
-# materializing gigabytes.
-DENSE_TRANSITION_LIMIT = 25_000_000
+# Nonzero transition cells one directive may set; wildcard, uniform and
+# matrix forms above it are refused rather than filling memory.
+MAX_DIRECTIVE_CELLS = 2_000_000
+# Element counts of the dense observation and (s', o)-dependent reward arrays.
 DENSE_REWARD_LIMIT = 25_000_000
 DENSE_OBSERVATION_LIMIT = 50_000_000
 
 FLOAT_FMT = "%.17g"
+
+# What a `*` index field resolves to: every index, as a basic numpy index.
+ALL = slice(None)
 
 
 def _fmt(x):
@@ -69,9 +77,6 @@ class _Lines:
                 self.items.append((lineno, stripped))
         self.pos = 0
 
-    def peek(self):
-        return self.items[self.pos] if self.pos < len(self.items) else (None, None)
-
     def next(self, context="input"):
         if self.pos >= len(self.items):
             raise ParseError(f"unexpected end of file while reading {context}",
@@ -91,6 +96,23 @@ def _floats(tokens, lineno, expect=None):
     return values
 
 
+def _span(index, count):
+    """The indices a resolved field covers."""
+    return range(count) if index is ALL else (index,)
+
+
+def _start_belief(vector):
+    """b0 from a start line. A line that already sums to one up to rounding,
+    with no entry below the mass floor, is kept as written, so a written
+    model loads back bit for bit; any other line is renormalized."""
+    belief = Belief.from_dense(vector)
+    written = vector[belief.states]
+    if written.size == np.count_nonzero(vector) \
+            and abs(written.sum() - 1.0) <= vector.size * np.finfo(float).eps:
+        return Belief._trusted(vector.size, belief.states, written)
+    return belief
+
+
 class _Space:
     """One of the three index spaces: count plus optional names."""
 
@@ -98,11 +120,12 @@ class _Space:
         self.label = label
         self.count = None
         self.names = None
+        self.lookup = {}
 
     def declare(self, tokens, lineno):
         if self.count is not None:
             raise ParseError(f"duplicate {self.label} declaration", lineno)
-        if len(tokens) == 1 and tokens[0].isdigit():
+        if len(tokens) == 1 and tokens[0].isdecimal():
             self.count = int(tokens[0])
         elif tokens:
             self.names = list(tokens)
@@ -111,21 +134,25 @@ class _Space:
             raise ParseError(f"empty {self.label} declaration", lineno)
         if self.count < 1:
             raise ParseError(f"{self.label} count must be positive", lineno)
+        # digits mean indices before names, and a repeated name its first index
+        self.lookup = {name: i for i, name in reversed(list(enumerate(self.names or ())))}
+        self.lookup.update((str(i), i) for i in range(self.count))
+        self.lookup["*"] = ALL
 
-    def resolve(self, token, lineno):
-        """Index list for one token: `*` means all, else index or name."""
-        if self.count is None:
-            raise ParseError(f"{self.label} not declared yet", lineno)
-        if token == "*":
-            return range(self.count)
-        if token.lstrip("-").isdigit():
-            idx = int(token)
-            if not 0 <= idx < self.count:
-                raise ParseError(f"{self.label} index {idx} out of range", lineno)
-            return [idx]
-        if self.names and token in self.names:
-            return [self.names.index(token)]
-        raise ParseError(f"unknown {self.label} {token!r}", lineno)
+    def resolve(self, field, lineno):
+        """One index field: an index, a name, or ALL for `*`."""
+        if len(field) != 1:
+            raise ParseError(f"expected one {self.label} index, got {len(field)} tokens",
+                             lineno)
+        token = field[0]
+        index = self.lookup.get(token)
+        if index is None:
+            if not token.isdecimal():
+                raise ParseError(f"unknown {self.label} {token!r}", lineno)
+            index = int(token)      # a decimal spelled another way, like 01
+            if index >= self.count:
+                raise ParseError(f"{self.label} index {index} out of range", lineno)
+        return index
 
 
 class _Parser:
@@ -136,8 +163,7 @@ class _Parser:
         self.observations = _Space("observation")
         self.discount = None
         self.start = None
-        self.t_dense = None     # (A,S,S) ndarray, or None in sparse mode
-        self.t_sparse = None    # per-action dict: s -> {s': p}
+        self.t_rows = None      # per-action dict: s -> {s': p}
         self.obs = None         # (A,S,O) ndarray
         self.r_direct = None    # (A,S) ndarray while every entry is (s',o)-wildcarded
         self.r_raw = None       # (A,S,S,O) ndarray once some entry needs it
@@ -145,20 +171,18 @@ class _Parser:
     # - plumbing -
 
     def _require_spaces(self, lineno):
+        if self.obs is not None:
+            return
         for space in (self.states, self.actions, self.observations):
             if space.count is None:
                 raise ParseError(
                     f"{space.label} count must be declared before model entries", lineno)
-        if self.obs is None:
-            ns, na, no = self.states.count, self.actions.count, self.observations.count
-            if na * ns * no > DENSE_OBSERVATION_LIMIT:
-                raise ParseError("observation tensor too large", lineno)
-            self.obs = np.zeros((na, ns, no))
-            self.r_direct = np.zeros((na, ns))
-            if na * ns * ns <= DENSE_TRANSITION_LIMIT:
-                self.t_dense = np.zeros((na, ns, ns))
-            else:
-                self.t_sparse = [dict() for _ in range(na)]
+        ns, na, no = self.states.count, self.actions.count, self.observations.count
+        if na * ns * no > DENSE_OBSERVATION_LIMIT:
+            raise ParseError("observation tensor too large", lineno)
+        self.obs = np.zeros((na, ns, no))
+        self.r_direct = np.zeros((na, ns))
+        self.t_rows = [dict() for _ in range(na)]
 
     def _materialize_raw_reward(self, lineno):
         if self.r_raw is not None:
@@ -171,36 +195,37 @@ class _Parser:
         self.r_raw = np.broadcast_to(self.r_direct[:, :, None, None],
                                      (na, ns, ns, no)).copy()
 
+    def _value(self, tokens, lineno, context):
+        """The one number of an entry: on its own line when the entry has none."""
+        if not tokens:
+            lineno, line = self.lines.next(context)
+            tokens = line.split()
+        return _floats(tokens, lineno, 1)[0]
+
     # - directives -
 
     def parse(self):
-        while True:
-            lineno, line = self.lines.peek()
-            if line is None:
-                break
-            self.lines.next()
+        while self.lines.pos < len(self.lines.items):
+            lineno, line = self.lines.next()
             head, _, rest = line.partition(":")
             head = head.strip().lower()
-            tokens = rest.split()
             if head == "discount":
-                self.discount = _floats(tokens, lineno, 1)[0]
+                self.discount = _floats(rest.split(), lineno, 1)[0]
             elif head == "values":
-                if tokens != ["reward"]:
-                    raise ParseError(f"unsupported values directive: {' '.join(tokens)}", lineno)
+                if rest.split() != ["reward"]:
+                    raise ParseError(f"unsupported values directive: {rest.strip()}", lineno)
             elif head == "states":
-                self.states.declare(tokens, lineno)
+                self.states.declare(rest.split(), lineno)
             elif head == "actions":
-                self.actions.declare(tokens, lineno)
+                self.actions.declare(rest.split(), lineno)
             elif head == "observations":
-                self.observations.declare(tokens, lineno)
+                self.observations.declare(rest.split(), lineno)
             elif head == "start":
-                self._parse_start(tokens, lineno)
-            elif head == "t":
-                self._parse_transition(tokens, lineno)
-            elif head == "o":
-                self._parse_observation(tokens, lineno)
+                self._parse_start(rest.split(), lineno)
+            elif head in ("t", "o"):
+                self._parse_table(head == "t", rest, lineno)
             elif head == "r":
-                self._parse_reward(tokens, lineno)
+                self._parse_reward(rest, lineno)
             else:
                 raise ParseError(f"unsupported directive {head!r}", lineno)
         return self._build()
@@ -216,179 +241,96 @@ class _Parser:
             tokens = line.split()
         self.start = np.array(_floats(tokens, lineno, ns))
 
-    @staticmethod
-    def _split_indices(tokens):
-        """Break `a : s : s' p` style tails into index tokens plus trailing numbers."""
-        joined = " ".join(tokens).replace(":", " : ")
-        parts = [p for p in joined.split() if p]
-        fields = [[]]
-        for p in parts:
-            if p == ":":
-                fields.append([])
-            else:
-                fields[-1].append(p)
-        return fields
-
-    def _parse_transition(self, tokens, lineno):
+    def _parse_table(self, transition, rest, lineno):
+        """`T:` or `O:` in entry form `a : x : y p`, row form `a : x` (a row
+        follows) or block form `a` (`uniform`, `identity` for T, or a matrix)."""
         self._require_spaces(lineno)
-        ns = self.states.count
-        fields = self._split_indices(tokens)
-        if len(fields) == 3 and len(fields[2]) >= 1:
-            # T: a : s : s' [p]
-            a_sel = self.actions.resolve(fields[0][0], lineno)
-            s_sel = self.states.resolve(fields[1][0], lineno)
-            tail = fields[2]
-            if len(tail) == 1:
-                sp_sel = self.states.resolve(tail[0], lineno)
-                lineno2, line = self.lines.next("transition probability")
-                prob = _floats(line.split(), lineno2, 1)[0]
-            elif len(tail) == 2:
-                sp_sel = self.states.resolve(tail[0], lineno)
-                prob = _floats(tail[1:], lineno, 1)[0]
-            else:
-                raise ParseError("malformed transition entry", lineno)
-            self._set_transition(a_sel, s_sel, sp_sel, prob, lineno)
-        elif len(fields) == 2 and len(fields[1]) == 1:
-            # T: a : s  followed by one row
-            a_sel = self.actions.resolve(fields[0][0], lineno)
-            s_sel = self.states.resolve(fields[1][0], lineno)
-            lineno2, line = self.lines.next("transition row")
-            row = np.array(_floats(line.split(), lineno2, ns))
-            self._set_transition_rows(a_sel, s_sel, row, lineno2)
-        elif len(fields) == 1 and len(fields[0]) == 1:
-            # T: a  followed by uniform / identity / matrix
-            a_sel = self.actions.resolve(fields[0][0], lineno)
-            self._parse_block(a_sel, lineno, kind="transition")
+        if transition:
+            kind, columns, put = "transition", self.states, self._put_transition
         else:
-            raise ParseError("malformed transition entry", lineno)
+            kind, columns, put = "observation", self.observations, self._put_observation
+        fields = [f.split() for f in rest.split(":")]
+        a = self.actions.resolve(fields[0], lineno)
+        if len(fields) == 3:
+            x = self.states.resolve(fields[1], lineno)
+            y = columns.resolve(fields[2][:1], lineno)
+            put(a, x, y, self._value(fields[2][1:], lineno, f"{kind} probability"), lineno)
+        elif len(fields) == 2:
+            x = self.states.resolve(fields[1], lineno)
+            row_line, line = self.lines.next(f"{kind} row")
+            put(a, x, ALL, np.array(_floats(line.split(), row_line, columns.count)), lineno)
+        elif len(fields) == 1:
+            block_line, line = self.lines.next(f"{kind} block")
+            if line == "identity":
+                if not transition:
+                    raise ParseError("identity is not valid for observation blocks", block_line)
+                self._put_identity(a, lineno)
+            elif line == "uniform":
+                put(a, ALL, ALL, 1.0 / columns.count, lineno)
+            else:
+                rows = [_floats(line.split(), block_line, columns.count)]
+                for _ in range(self.states.count - 1):
+                    row_line, line = self.lines.next(f"{kind} matrix row")
+                    rows.append(_floats(line.split(), row_line, columns.count))
+                put(a, ALL, ALL, np.array(rows), lineno)
+        else:
+            raise ParseError(f"malformed {kind} entry", lineno)
 
-    def _parse_observation(self, tokens, lineno):
+    def _put_observation(self, a, sp, o, value, lineno):
+        self.obs[a, sp, o] = value
+
+    def _guard(self, cells, lineno):
+        if cells > MAX_DIRECTIVE_CELLS:
+            raise ParseError(f"transition directive sets {cells} nonzero cells, "
+                             f"more than {MAX_DIRECTIVE_CELLS}", lineno)
+
+    def _put_transition(self, a, s, sp, value, lineno):
+        """T(a, s, sp) = value in the sparse rows: a number for one target, or
+        a number, row or (S, S) matrix that rewrites whole rows when sp is ALL."""
+        ns = self.states.count
+        actions = _span(a, self.actions.count)
+        sources = _span(s, ns)
+        if sp is not ALL:
+            if value == 0.0:
+                for b in actions:
+                    for i in sources:
+                        self.t_rows[b].get(i, {}).pop(sp, None)
+                return
+            self._guard(len(actions) * len(sources), lineno)
+            for b in actions:
+                table = self.t_rows[b]
+                for i in sources:
+                    table.setdefault(i, {})[sp] = value
+            return
+        block = np.broadcast_to(value, (len(sources), ns))
+        self._guard(len(actions) * np.count_nonzero(block), lineno)
+        for i, row in zip(sources, block):
+            targets = np.flatnonzero(row)
+            keys, values = targets.tolist(), row[targets].tolist()
+            for b in actions:
+                self.t_rows[b][i] = dict(zip(keys, values))
+
+    def _put_identity(self, a, lineno):
+        actions = _span(a, self.actions.count)
+        self._guard(len(actions) * self.states.count, lineno)
+        for b in actions:
+            self.t_rows[b] = {s: {s: 1.0} for s in range(self.states.count)}
+
+    def _parse_reward(self, rest, lineno):
         self._require_spaces(lineno)
-        no = self.observations.count
-        fields = self._split_indices(tokens)
-        if len(fields) == 3 and len(fields[2]) >= 1:
-            a_sel = self.actions.resolve(fields[0][0], lineno)
-            sp_sel = self.states.resolve(fields[1][0], lineno)
-            tail = fields[2]
-            if len(tail) == 1:
-                o_sel = self.observations.resolve(tail[0], lineno)
-                lineno2, line = self.lines.next("observation probability")
-                prob = _floats(line.split(), lineno2, 1)[0]
-            elif len(tail) == 2:
-                o_sel = self.observations.resolve(tail[0], lineno)
-                prob = _floats(tail[1:], lineno, 1)[0]
-            else:
-                raise ParseError("malformed observation entry", lineno)
-            self.obs[np.ix_(list(a_sel), list(sp_sel), list(o_sel))] = prob
-        elif len(fields) == 2 and len(fields[1]) == 1:
-            a_sel = self.actions.resolve(fields[0][0], lineno)
-            sp_sel = self.states.resolve(fields[1][0], lineno)
-            lineno2, line = self.lines.next("observation row")
-            row = np.array(_floats(line.split(), lineno2, no))
-            self.obs[np.ix_(list(a_sel), list(sp_sel))] = row
-        elif len(fields) == 1 and len(fields[0]) == 1:
-            a_sel = self.actions.resolve(fields[0][0], lineno)
-            self._parse_block(a_sel, lineno, kind="observation")
-        else:
-            raise ParseError("malformed observation entry", lineno)
-
-    def _parse_block(self, a_sel, lineno, kind):
-        ns = self.states.count
-        width = ns if kind == "transition" else self.observations.count
-        lineno2, line = self.lines.next(f"{kind} block")
-        if line == "identity":
-            if kind == "observation":
-                raise ParseError("identity is not valid for observation blocks", lineno2)
-            for a in a_sel:
-                self._set_identity(a)
-            return
-        if line == "uniform":
-            value = 1.0 / width
-            if kind == "observation":
-                self.obs[list(a_sel)] = value
-            else:
-                self._guard_dense_block(lineno2)
-                self.t_dense[list(a_sel)] = value
-            return
-        rows = [np.array(_floats(line.split(), lineno2, width))]
-        for _ in range(ns - 1):
-            lineno3, line = self.lines.next(f"{kind} matrix row")
-            rows.append(np.array(_floats(line.split(), lineno3, width)))
-        block = np.stack(rows)
-        if kind == "observation":
-            self.obs[list(a_sel)] = block
-        else:
-            self._guard_dense_block(lineno2)
-            self.t_dense[list(a_sel)] = block
-
-    def _guard_dense_block(self, lineno):
-        if self.t_dense is None:
-            raise ParseError("matrix/uniform transition blocks are not supported "
-                             "for models this large; use per-entry form", lineno)
-
-    def _set_identity(self, a):
-        ns = self.states.count
-        if self.t_dense is not None:
-            self.t_dense[a] = np.eye(ns)
-        else:
-            self.t_sparse[a] = {s: {s: 1.0} for s in range(ns)}
-
-    def _set_transition(self, a_sel, s_sel, sp_sel, prob, lineno):
-        if self.t_dense is not None:
-            self.t_dense[np.ix_(list(a_sel), list(s_sel), list(sp_sel))] = prob
-            return
-        cells = len(s_sel) * len(sp_sel)
-        if prob != 0.0 and cells > 2_000_000:
-            raise ParseError("wildcard transition assignment too large", lineno)
-        for a in a_sel:
-            table = self.t_sparse[a]
-            if prob == 0.0:
-                targets = sp_sel if not isinstance(sp_sel, range) else None
-                for s in (s_sel if not isinstance(s_sel, range) else list(s_sel)):
-                    row = table.get(s)
-                    if row is None:
-                        continue
-                    if targets is None:
-                        row.clear()
-                    else:
-                        for sp in targets:
-                            row.pop(sp, None)
-            else:
-                for s in s_sel:
-                    row = table.setdefault(s, {})
-                    for sp in sp_sel:
-                        row[sp] = prob
-
-    def _set_transition_rows(self, a_sel, s_sel, row, lineno):
-        if self.t_dense is not None:
-            self.t_dense[np.ix_(list(a_sel), list(s_sel))] = row
-            return
-        nonzero = np.flatnonzero(row)
-        for a in a_sel:
-            for s in s_sel:
-                self.t_sparse[a][s] = {int(sp): float(row[sp]) for sp in nonzero}
-
-    def _parse_reward(self, tokens, lineno):
-        self._require_spaces(lineno)
-        fields = self._split_indices(tokens)
-        if len(fields) != 4 or len(fields[3]) not in (1, 2):
+        fields = [f.split() for f in rest.split(":")]
+        if len(fields) != 4:
             raise ParseError("malformed reward entry (need R: a : s : s' : o v)", lineno)
-        a_sel = self.actions.resolve(fields[0][0], lineno)
-        s_sel = self.states.resolve(fields[1][0], lineno)
-        sp_token, o_token = fields[2][0], fields[3][0]
-        tail = fields[3]
-        if len(tail) == 2:
-            value = _floats(tail[1:], lineno, 1)[0]
-        else:
-            lineno2, line = self.lines.next("reward value")
-            value = _floats(line.split(), lineno2, 1)[0]
-        if sp_token == "*" and o_token == "*" and self.r_raw is None:
-            self.r_direct[np.ix_(list(a_sel), list(s_sel))] = value
+        a = self.actions.resolve(fields[0], lineno)
+        s = self.states.resolve(fields[1], lineno)
+        sp = self.states.resolve(fields[2], lineno)
+        o = self.observations.resolve(fields[3][:1], lineno)
+        value = self._value(fields[3][1:], lineno, "reward value")
+        if sp is ALL and o is ALL and self.r_raw is None:
+            self.r_direct[a, s] = value
             return
         self._materialize_raw_reward(lineno)
-        sp_sel = self.states.resolve(sp_token, lineno)
-        o_sel = self.observations.resolve(o_token, lineno)
-        self.r_raw[np.ix_(list(a_sel), list(s_sel), list(sp_sel), list(o_sel))] = value
+        self.r_raw[a, s, sp, o] = value
 
     # - assembly -
 
@@ -401,36 +343,34 @@ class _Parser:
         self._require_spaces(None)
         ns = self.states.count
 
-        if self.t_dense is not None:
-            transitions = [sparse.csr_array(self.t_dense[a])
-                           for a in range(self.actions.count)]
-        else:
-            transitions = []
-            for table in self.t_sparse:
-                rows, cols, data = [], [], []
-                for s, row in table.items():
-                    for sp, p in row.items():
-                        rows.append(s)
-                        cols.append(sp)
-                        data.append(p)
-                transitions.append(sparse.csr_array(
-                    (np.array(data), (np.array(rows, dtype=np.int64),
-                                      np.array(cols, dtype=np.int64))),
-                    shape=(ns, ns)))
+        transitions = []
+        for table in self.t_rows:
+            rows, cols, data = [], [], []
+            for s, row in table.items():
+                rows.extend([s] * len(row))
+                cols.extend(row.keys())
+                data.extend(row.values())
+            transitions.append(sparse.csr_array(
+                (np.array(data, dtype=np.float64),
+                 (np.array(rows, dtype=np.int32), np.array(cols, dtype=np.int32))),
+                shape=(ns, ns)))
 
+        reward = self.r_direct
         if self.r_raw is not None:
-            if self.t_dense is None:
-                raise ParseError("internal: rich rewards require a dense transition tensor")
-            reward = np.einsum("asx,axo,asxo->as", self.t_dense, self.obs, self.r_raw)
-        else:
-            reward = self.r_direct
+            # R(s,a) = sum_{s'} T(s,a,s') * sum_o O(s',a,o) R(a,s,s',o)
+            reward = np.empty_like(self.r_direct)
+            for a, t in enumerate(transitions):
+                per_target = np.einsum("xo,sxo->sx", self.obs[a], self.r_raw[a])
+                sources = np.repeat(np.arange(ns), np.diff(t.indptr))
+                reward[a] = np.bincount(sources, t.data * per_target[sources, t.indices],
+                                        minlength=ns)
 
         if self.start is None:
             start = Belief.uniform(ns)
         else:
             if np.any(self.start < 0):
                 raise ValidationError("start distribution has negative entries")
-            start = Belief.from_dense(self.start)
+            start = _start_belief(self.start)
 
         return PomdpModel(
             transitions, self.obs, reward, self.discount, start,

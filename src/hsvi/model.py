@@ -49,6 +49,8 @@ class Belief:
                 raise ValidationError("belief state index out of range")
             if np.any(np.diff(states) == 0):
                 raise ValidationError("belief has duplicate state indices")
+        if not np.all(np.isfinite(probs)):
+            raise ValidationError("belief has non-finite mass")
         if np.any(probs < -PROB_TOL):
             raise ValidationError("belief has negative mass")
         total = float(probs.sum())
@@ -165,8 +167,7 @@ class PomdpModel:
     )
 
     def __init__(self, transition, observation, reward, discount, initial_belief,
-                 state_names=None, action_names=None, observation_names=None,
-                 validate=True):
+                 state_names=None, action_names=None, observation_names=None):
         observation = np.ascontiguousarray(observation, dtype=np.float64)
         reward = np.ascontiguousarray(reward, dtype=np.float64)
         if observation.ndim != 3 or reward.ndim != 2:
@@ -189,14 +190,15 @@ class PomdpModel:
         self.state_names = list(state_names) if state_names else None
         self.action_names = list(action_names) if action_names else None
         self.observation_names = list(observation_names) if observation_names else None
-        if validate:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         if not 0.0 <= self.discount < 1.0:
             raise ValidationError(f"discount {self.discount} outside [0, 1)")
         ones = np.ones(self.num_states)
         for a, t in enumerate(self.transition):
+            if not np.all(np.isfinite(t.data)):
+                raise ValidationError(f"transition probabilities for action {a} are not finite")
             if t.nnz and (t.data.min() < -PROB_TOL or t.data.max() > 1.0 + PROB_TOL):
                 raise ValidationError(f"transition probabilities for action {a} outside [0,1]")
             rows = t @ ones
@@ -204,6 +206,10 @@ class PomdpModel:
                 bad = int(np.abs(rows - 1.0).argmax())
                 raise ValidationError(
                     f"transition rows must sum to 1: action {a}, state {bad} sums to {rows[bad]!r}")
+        if not np.all(np.isfinite(self.observation)):
+            raise ValidationError("observation probabilities are not finite")
+        if not np.all(np.isfinite(self.reward)):
+            raise ValidationError("rewards are not finite")
         if self.observation.min() < -PROB_TOL or self.observation.max() > 1.0 + PROB_TOL:
             raise ValidationError("observation probabilities outside [0,1]")
         obs_rows = self.observation.sum(axis=2)
@@ -259,16 +265,6 @@ def belief_update(model, b, a, o):
     states = np.flatnonzero(posterior > MASS_FLOOR)
     probs = posterior[states]
     return Belief._trusted(model.num_states, states, probs / probs.sum())
-
-
-def observation_probability(model, b, a, o):
-    """Pr(o | b, a) = Σ_{s'} O(s',a,o) · Σ_s T(s,a,s') b(s)."""
-    return float(_predicted(model, b, a) @ model.observation[a, :, o])
-
-
-def expected_reward(model, b, a):
-    """Immediate expected reward Σ_s R(s,a) b(s)."""
-    return b.dot(model.reward[a])
 
 
 def expected_rewards_all_actions(model, b):

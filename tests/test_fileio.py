@@ -1,14 +1,19 @@
 """Model file parsing/serialization and policy file round trips."""
 
 import io
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hsvi import (
+    Belief,
     EvalConfig,
     ParseError,
     PolicyFile,
+    PomdpModel,
     RockSampleParams,
     SolverConfig,
     ValidationError,
@@ -184,6 +189,151 @@ def test_rocksample_round_trip_field_by_field():
     np.testing.assert_allclose(again.reward, m.reward, atol=1e-12)
     np.testing.assert_array_equal(again.initial_belief.to_dense(),
                                   m.initial_belief.to_dense())
+
+
+HEADER = "discount: 0.9\nstates: 2\nactions: 1\nobservations: 1\n"
+SMALL = HEADER + "T: 0\nidentity\nO: 0\nuniform\n"
+
+
+@pytest.mark.parametrize("line", [
+    "T: : 0 : 1 0.5",           # empty action field
+    "R: : 0 : * : * 1",         # empty action field
+    "T: 0 : 0 1 : 1 0.5",       # two tokens in the source-state field
+    "O: 0 : 0 : 0 1 1",         # two numbers after the observation
+    "R: 0 : 0 : * : 1",         # 1 is the value, the observation is missing
+    "T: 0 : 0 : ² 1",           # a digit that is not a decimal index
+])
+def test_index_field_needs_exactly_one_token(line):
+    with pytest.raises(ParseError) as err:
+        parse_pomdp(SMALL + line + "\n")
+    assert err.value.line == 9
+
+
+def test_index_fields_accept_leading_zeros_and_names():
+    m = parse_pomdp("discount: 0.9\nstates: 2\nactions: go\nobservations: 1\n"
+                    "T: go : 00 : 01 1\nT: 0 : 1 : 1 1\nO: * : * : 0 1\n")
+    np.testing.assert_array_equal(m.transition[0].toarray(), [[0, 1], [0, 1]])
+
+
+@pytest.mark.parametrize("line", [
+    "O: 0 : * : 0 nan",
+    "start: nan 1",
+    "T: 0 : 0 : 1 nan",
+    "R: 0 : 0 : * : * inf",
+])
+def test_non_finite_model_data_is_rejected(line):
+    with pytest.raises(ValidationError):
+        parse_pomdp(SMALL + line + "\n")
+
+
+def test_directive_cell_guard_names_the_line():
+    big = "discount: 0.9\nstates: 1500\nactions: 1\nobservations: 1\n"
+    with pytest.raises(ParseError) as err:
+        parse_pomdp(big + "T: 0\nuniform\n")          # 2.25M nonzero cells
+    assert err.value.line == 5
+    with pytest.raises(ParseError) as err:
+        parse_pomdp(big + "T: 0\nidentity\nT: 0 : * : * 1e-9\n")
+    assert err.value.line == 7
+
+
+def test_zero_wildcard_clears_without_counting_against_the_guard():
+    big = "discount: 0.9\nstates: 1500\nactions: 1\nobservations: 1\n"
+    m = parse_pomdp(big + "T: 0\nidentity\nT: 0 : * : * 0\nT: 0\nidentity\n"
+                    "O: 0 : * : 0 1\n")
+    t = m.transition[0]
+    assert t.nnz == 1500
+    np.testing.assert_array_equal(t.diagonal(), np.ones(1500))
+
+
+def test_zero_entry_clears_a_cell_and_row_forms_replace_rows():
+    m = parse_pomdp(SMALL + "T: 0 : 0 : 1 0.5\nT: 0 : 0 : 0 0.5\nT: 0 : 1 : 1 0\n"
+                    "T: 0 : 1\n0.25 0.75\n")
+    np.testing.assert_array_equal(m.transition[0].toarray(), [[0.5, 0.5], [0.25, 0.75]])
+    assert m.transition[0].nnz == 4
+
+
+_NAME = st.from_regex(r"[A-Za-z_][A-Za-z0-9_.-]{0,6}", fullmatch=True)
+
+
+@st.composite
+def small_models(draw):
+    """Random models of up to 4 states, with or without names, and with
+    random zeros in T, O, R and b0."""
+    ns, na, no = (draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.floats(0.2, 1.0))
+
+    def rows(shape, width):
+        weights = rng.dirichlet(np.ones(width), size=shape) * (rng.random((*shape, width)) < density)
+        empty = weights.sum(axis=-1) == 0.0
+        weights[empty, rng.integers(width)] = 1.0
+        return weights / weights.sum(axis=-1, keepdims=True)
+
+    names = [draw(st.none() | st.lists(_NAME, min_size=n, max_size=n, unique=True))
+             for n in (ns, na, no)]
+    reward = rng.uniform(-10, 10, size=(na, ns)) * (rng.random((na, ns)) < density)
+    return PomdpModel(rows((na, ns), ns), rows((na, ns), no), reward,
+                      draw(st.floats(0.0, 0.999)), Belief.from_dense(rows((), ns)),
+                      state_names=names[0], action_names=names[1], observation_names=names[2])
+
+
+def _text(model):
+    sink = io.StringIO()
+    write_pomdp(model, sink)
+    return sink.getvalue()
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(small_models())
+def test_write_then_parse_is_bitwise_exact(m):
+    again = parse_pomdp(_text(m))
+    for t, u in zip(m.transition, again.transition):
+        np.testing.assert_array_equal(u.indptr, t.indptr)
+        np.testing.assert_array_equal(u.indices, t.indices)
+        np.testing.assert_array_equal(u.data, t.data)
+    np.testing.assert_array_equal(again.observation, m.observation)
+    np.testing.assert_array_equal(again.reward, m.reward)
+    np.testing.assert_array_equal(again.initial_belief.states, m.initial_belief.states)
+    np.testing.assert_array_equal(again.initial_belief.probs, m.initial_belief.probs)
+    assert again.discount == m.discount
+    assert (again.state_names, again.action_names, again.observation_names) == \
+        (m.state_names, m.action_names, m.observation_names)
+
+
+_GARBAGE = ["x", "-1", "nan", "inf", "-inf", "1e", "--1", "²", "01", "*", "0", "1.5", "uniform"]
+
+
+@st.composite
+def mutated_texts(draw):
+    """`write_pomdp` output with tokens and colons deleted or duplicated,
+    numbers replaced by garbage, and the end cut off. Duplicates keep their
+    own token, so no declared count grows past a few."""
+    pieces = re.findall(r"\s+|:|[^\s:]+", _text(draw(small_models())))
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(pieces) - 1))
+        kind = draw(st.sampled_from(["delete", "duplicate", "garbage", "truncate"]))
+        if kind == "delete":
+            del pieces[i]
+        elif kind == "duplicate" and not pieces[i].isspace():
+            pieces.insert(i, pieces[i] + " ")
+        elif kind == "garbage" and re.fullmatch(r"[-+.0-9eE]+", pieces[i]):
+            pieces[i] = draw(st.sampled_from(_GARBAGE))
+        elif kind == "truncate":
+            del pieces[i:]
+        if not pieces:
+            break
+    return "".join(pieces)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(mutated_texts())
+@example(HEADER + "T: : 0 : 1 0.5\n")
+@example(HEADER + "R: : 0 : * : * 1\n")
+def test_malformed_files_raise_parse_or_validation_errors(text):
+    try:
+        assert isinstance(parse_pomdp(text), PomdpModel)
+    except (ParseError, ValidationError):
+        pass
 
 
 # ---------------------------------------------------------------------------

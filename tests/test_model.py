@@ -12,11 +12,10 @@ from hsvi import (
     ValidationError,
     ZeroProbabilityObservation,
     belief_update,
-    expected_reward,
     gen_rocksample,
-    observation_probability,
     successor_distributions,
 )
+from hsvi.model import expected_rewards_all_actions
 
 
 # ---------------------------------------------------------------------------
@@ -32,6 +31,13 @@ def test_belief_validation():
         Belief(3, [0, 0], [0.5, 0.5])           # duplicate state
     with pytest.raises(ValidationError):
         Belief(3, [0, 1], [1.5, -0.5])          # negative mass
+
+
+def test_belief_rejects_non_finite_mass():
+    with pytest.raises(ValidationError):
+        Belief(2, [0, 1], [np.nan, 1.0])
+    with pytest.raises(ValidationError):
+        Belief.from_dense([np.inf, 1.0])
 
 
 def test_belief_drops_dust_and_renormalizes():
@@ -62,6 +68,17 @@ def test_model_validation_rejects_bad_rows():
     t = np.stack([np.eye(2)])
     with pytest.raises(ValidationError):
         PomdpModel(t, o, r, 1.0, Belief.uniform(2))  # discount not < 1
+
+
+@pytest.mark.parametrize("field", ["transition", "observation", "reward"])
+def test_model_validation_rejects_non_finite_entries(field):
+    arrays = {"transition": np.stack([np.eye(2)]),
+              "observation": np.full((1, 2, 2), 0.5),
+              "reward": np.zeros((1, 2))}
+    arrays[field].flat[1] = np.nan if field != "reward" else np.inf
+    with pytest.raises(ValidationError):
+        PomdpModel(arrays["transition"], arrays["observation"], arrays["reward"],
+                   0.9, Belief.uniform(2))
 
 
 # ---------------------------------------------------------------------------
@@ -125,14 +142,15 @@ def test_deterministic_chain_stays_point_mass():
 
 
 # ---------------------------------------------------------------------------
-# observation_probability
+# observation probabilities: successor_distributions(...)[0][o]
 # ---------------------------------------------------------------------------
 
 def test_obs_prob_deterministic_sensor():
     m = tiny_deterministic_model()
     b = Belief.point_mass(0, 2)
-    assert observation_probability(m, b, 0, 1) == pytest.approx(1.0)
-    assert observation_probability(m, b, 0, 0) == pytest.approx(0.0)
+    probs = successor_distributions(m, b, 0)[0]
+    assert probs[1] == pytest.approx(1.0)
+    assert probs[0] == pytest.approx(0.0)
 
 
 def test_obs_prob_uniform_sensor():
@@ -140,7 +158,7 @@ def test_obs_prob_uniform_sensor():
     o = np.full((1, 3, 4), 0.25)
     m = PomdpModel(t, o, np.zeros((1, 3)), 0.9, Belief.uniform(3))
     for obs in range(4):
-        assert observation_probability(m, m.initial_belief, 0, obs) == pytest.approx(0.25)
+        assert successor_distributions(m, m.initial_belief, 0)[0][obs] == pytest.approx(0.25)
 
 
 def test_obs_prob_matches_triple_loop(rng):
@@ -151,7 +169,7 @@ def test_obs_prob_matches_triple_loop(rng):
         a = int(rng.integers(2))
         obs = int(rng.integers(3))
         expected = oracles.observation_probability_naive(t, o, b.to_dense(), a, obs)
-        assert observation_probability(m, b, a, obs) == pytest.approx(expected, abs=1e-12)
+        assert successor_distributions(m, b, a)[0][obs] == pytest.approx(expected, abs=1e-12)
 
 
 def test_obs_probs_sum_to_one(rng):
@@ -159,38 +177,40 @@ def test_obs_probs_sum_to_one(rng):
         m = oracles.random_pomdp(rng, 4, 3, 3, 0.9)
         b = Belief.from_dense(rng.dirichlet(np.ones(4)))
         a = int(rng.integers(3))
-        total = sum(observation_probability(m, b, a, o) for o in range(3))
+        total = sum(successor_distributions(m, b, a)[0][o] for o in range(3))
         assert total == pytest.approx(1.0, abs=1e-9)
 
 
 def test_successor_distributions_consistent(rng):
     m = oracles.random_pomdp(rng, 4, 2, 3, 0.9)
+    t, o_dense, _ = oracles.dense_tensors(m)
     b = Belief.from_dense(rng.dirichlet(np.ones(4)))
     for a in range(2):
         probs, posts = successor_distributions(m, b, a)
         assert probs.sum() == pytest.approx(1.0, abs=1e-9)
         for o, post in enumerate(posts):
-            assert probs[o] == pytest.approx(observation_probability(m, b, a, o), abs=1e-12)
+            expected = oracles.observation_probability_naive(t, o_dense, b.to_dense(), a, o)
+            assert probs[o] == pytest.approx(expected, abs=1e-12)
             np.testing.assert_allclose(
                 post.to_dense(), belief_update(m, b, a, o).to_dense(), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# expected_reward
+# expected rewards: expected_rewards_all_actions(...)[a]
 # ---------------------------------------------------------------------------
 
 def test_expected_reward_constant():
     t = np.stack([np.eye(2)])
     o = np.full((1, 2, 2), 0.5)
     m = PomdpModel(t, o, np.full((1, 2), 3.25), 0.9, Belief.uniform(2))
-    assert expected_reward(m, m.initial_belief, 0) == pytest.approx(3.25)
+    assert expected_rewards_all_actions(m, m.initial_belief)[0] == pytest.approx(3.25)
 
 
 def test_expected_reward_point_mass(random_model):
     for s in range(random_model.num_states):
         b = Belief.point_mass(s, random_model.num_states)
         for a in range(random_model.num_actions):
-            assert expected_reward(random_model, b, a) == pytest.approx(
+            assert expected_rewards_all_actions(random_model, b)[a] == pytest.approx(
                 float(random_model.reward[a, s]))
 
 
@@ -201,4 +221,5 @@ def test_expected_reward_sampling_fifty_fifty_rock_is_zero():
                               rover_start=(0, 2))
     m = gen_rocksample(params)
     sample_action = 4
-    assert expected_reward(m, m.initial_belief, sample_action) == pytest.approx(0.0, abs=1e-12)
+    rewards = expected_rewards_all_actions(m, m.initial_belief)
+    assert rewards[sample_action] == pytest.approx(0.0, abs=1e-12)
