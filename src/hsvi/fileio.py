@@ -20,8 +20,9 @@ Every index field holds exactly one token: an index, a name, or `*` for all.
 `T:` and `O:` share one grammar routine and differ only in where the values
 go. Transitions are kept as sparse rows per action (s -> {s': p}) at every
 model size; one directive may set at most MAX_DIRECTIVE_CELLS nonzero
-transition cells, while zero assignments only clear cells and are not
-counted. Observations are kept dense (A, S, O). Rewards richer than R(s,a)
+transition cells, counted before any row is built. Zero assignments only
+clear cells, and `identity` sets one cell per row; neither is counted.
+Observations are kept dense (A, S, O). Rewards richer than R(s,a)
 are folded at load time by expectation over the model dynamics:
 R(s,a) = sum_{s'} T(s,a,s') sum_o O(s',a,o) R(a,s,s',o).
 
@@ -37,6 +38,7 @@ All floats are written with 17 significant digits so round trips are exact.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,6 +103,12 @@ def _span(index, count):
     return range(count) if index is ALL else (index,)
 
 
+def _sparse_row(row):
+    """A dense row as {column: value} over its nonzero entries."""
+    targets = np.flatnonzero(row)
+    return dict(zip(targets.tolist(), row[targets].tolist()))
+
+
 def _start_belief(vector):
     """b0 from a start line. A line that already sums to one up to rounding,
     with no entry below the mass floor, is kept as written, so a written
@@ -134,24 +142,24 @@ class _Space:
             raise ParseError(f"empty {self.label} declaration", lineno)
         if self.count < 1:
             raise ParseError(f"{self.label} count must be positive", lineno)
-        # digits mean indices before names, and a repeated name its first index
+        # a repeated name means its first index
         self.lookup = {name: i for i, name in reversed(list(enumerate(self.names or ())))}
-        self.lookup.update((str(i), i) for i in range(self.count))
         self.lookup["*"] = ALL
 
     def resolve(self, field, lineno):
-        """One index field: an index, a name, or ALL for `*`."""
+        """One index field: a decimal index, a name, or ALL for `*`."""
         if len(field) != 1:
             raise ParseError(f"expected one {self.label} index, got {len(field)} tokens",
                              lineno)
         token = field[0]
-        index = self.lookup.get(token)
-        if index is None:
-            if not token.isdecimal():
-                raise ParseError(f"unknown {self.label} {token!r}", lineno)
-            index = int(token)      # a decimal spelled another way, like 01
+        if token.isdecimal():       # digits mean an index, before any name
+            index = int(token)
             if index >= self.count:
                 raise ParseError(f"{self.label} index {index} out of range", lineno)
+            return index
+        index = self.lookup.get(token)
+        if index is None:
+            raise ParseError(f"unknown {self.label} {token!r}", lineno)
         return index
 
 
@@ -264,7 +272,7 @@ class _Parser:
             if line == "identity":
                 if not transition:
                     raise ParseError("identity is not valid for observation blocks", block_line)
-                self._put_identity(a, lineno)
+                self._put_identity(a)
             elif line == "uniform":
                 put(a, ALL, ALL, 1.0 / columns.count, lineno)
             else:
@@ -302,18 +310,24 @@ class _Parser:
                 for i in sources:
                     table.setdefault(i, {})[sp] = value
             return
-        block = np.broadcast_to(value, (len(sources), ns))
-        self._guard(len(actions) * np.count_nonzero(block), lineno)
-        for i, row in zip(sources, block):
-            targets = np.flatnonzero(row)
-            keys, values = targets.tolist(), row[targets].tolist()
+        value = np.asarray(value)
+        if value.ndim == 2:     # a matrix: a row of its own for each source
+            self._guard(len(actions) * np.count_nonzero(value), lineno)
+            rows = map(_sparse_row, value)
+        else:                   # a number or a row, shared by every source
+            shared = np.broadcast_to(value, (ns,))
+            self._guard(len(actions) * len(sources) * np.count_nonzero(shared), lineno)
+            rows = itertools.repeat(_sparse_row(shared), len(sources))
+        for i, row in zip(sources, rows):
             for b in actions:
-                self.t_rows[b][i] = dict(zip(keys, values))
+                if row:         # a copy, as later entries edit rows in place
+                    self.t_rows[b][i] = dict(row)
+                else:
+                    self.t_rows[b].pop(i, None)
 
-    def _put_identity(self, a, lineno):
-        actions = _span(a, self.actions.count)
-        self._guard(len(actions) * self.states.count, lineno)
-        for b in actions:
+    def _put_identity(self, a):
+        """One cell per row, so it is not counted against the guard."""
+        for b in _span(a, self.actions.count):
             self.t_rows[b] = {s: {s: 1.0} for s in range(self.states.count)}
 
     def _parse_reward(self, rest, lineno):

@@ -2,12 +2,14 @@
 
 import io
 import re
+import time
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hsvi import fileio
 from hsvi import (
     Belief,
     EvalConfig,
@@ -243,6 +245,40 @@ def test_zero_wildcard_clears_without_counting_against_the_guard():
     t = m.transition[0]
     assert t.nnz == 1500
     np.testing.assert_array_equal(t.diagonal(), np.ones(1500))
+
+
+@pytest.mark.parametrize("space", ["states", "observations"])
+def test_huge_declared_count_is_refused_at_once(space):
+    counts = {"states": 2, "actions": 1, "observations": 1, space: 1_000_000_000}
+    header = "discount: 0.9\n" + "".join(f"{k}: {v}\n" for k, v in counts.items())
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="too large") as err:
+        parse_pomdp(header + "T: 0 : 0 : 0 1\n")
+    assert err.value.line == 5
+    assert time.perf_counter() - start < 1.0
+
+
+def test_wildcard_rows_on_a_large_model_cost_linear_time():
+    big = "discount: 0.9\nstates: 100000\nactions: 1\nobservations: 1\n"
+    to_first = "1" + " 0" * 99_999
+    start = time.perf_counter()
+    m = parse_pomdp(big + f"T: 0 : * : * 0\nT: 0 : *\n{to_first}\nO: 0 : * : 0 1\n")
+    assert m.transition[0].nnz == 100_000
+    np.testing.assert_array_equal(m.transition[0].indices, np.zeros(100_000))
+    with pytest.raises(ParseError, match="nonzero cells") as err:
+        parse_pomdp(big + "T: 0\nuniform\n")       # 10^10 cells
+    assert err.value.line == 5
+    assert time.perf_counter() - start < 10.0
+
+
+def test_identity_is_not_counted_against_the_guard(monkeypatch):
+    monkeypatch.setattr(fileio, "MAX_DIRECTIVE_CELLS", 5)
+    header = "discount: 0.9\nstates: 4\nactions: 2\nobservations: 1\nO: * : * : 0 1\n"
+    m = parse_pomdp(header + "T: *\nidentity\n")       # 8 cells
+    for t in m.transition:
+        np.testing.assert_array_equal(t.toarray(), np.eye(4))
+    with pytest.raises(ParseError, match="nonzero cells"):
+        parse_pomdp(header + "T: 0\nuniform\n")        # 16 cells
 
 
 def test_zero_entry_clears_a_cell_and_row_forms_replace_rows():
