@@ -8,8 +8,9 @@ lower convex hull of the point set, evaluated by LP.
 Both representations support a local update at a belief b, read from one
 expansion at b (``expand``: each action's successors τ(b,a,o), computed
 once): the lower bound gains the gradient-backup vector folded from those
-successors, the upper bound gains the point (b, max_a Q(b,a)). Each set is
-pruned whenever it has grown 10% past its size at the previous pruning.
+successors, the upper bound gains the point (b, max_a Q(b,a)) and keeps the
+expansion, whose successors never change, for pruning to re-value. Each set
+is pruned whenever it has grown 10% past its size at the previous pruning.
 """
 
 from __future__ import annotations
@@ -98,10 +99,11 @@ class LowerBound:
 class UpperBound:
     """Point set over the belief simplex; all corners are present and permanent.
 
-    Interior points are kept in insertion order. Evaluation restricts the LP
-    to the query's support: only points whose support is contained in the
-    query's can carry weight, and the matching constraints outside that
-    support are trivially satisfied, so the projection value is unchanged.
+    Interior points are kept in insertion order, each with the expansion it
+    was inserted with. Evaluation restricts the LP to the query's support:
+    only points whose support is contained in the query's can carry weight,
+    and the matching constraints outside that support are trivially
+    satisfied, so the projection value is unchanged.
     Queries repeat the same support patterns heavily, so each pattern caches
     the indices of its interior points, their constraint matrix (the
     contiguous transpose of the point rows, corners first) and the last
@@ -119,6 +121,7 @@ class UpperBound:
         self.num_states = corner_values.size
         self.corner_values = corner_values
         self._beliefs = []
+        self._expansions = []
         self._value_arr = np.empty(8)
         self._count = 0
         self._lp_cache = {}
@@ -172,13 +175,14 @@ class UpperBound:
         warm["inverse"] = solution.inverse
         return solution.value
 
-    def add_point(self, b, value):
-        """Insert (b, value), folding duplicates.
+    def add_point(self, b, value, expansion):
+        """Insert (b, value) with its ``expand`` result, folding duplicates.
 
         A point-mass belief lowers the stored corner value instead of adding
         an interior point, keeping corner evaluation exact. A belief within
         L1 distance 1e-9 of an existing interior point replaces that point's
-        value if lower, else is discarded.
+        value if lower, else is discarded; that point keeps its expansion.
+        A point set that is never pruned may pass None as the expansion.
         """
         value = float(value)
         if len(b) == 1:
@@ -196,6 +200,7 @@ class UpperBound:
         if self._count == self._value_arr.size:
             self._value_arr = np.concatenate([self._value_arr, np.empty_like(self._value_arr)])
         self._beliefs.append(b)
+        self._expansions.append(expansion)
         self._value_arr[self._count] = value
         self._dedup.setdefault(mask, []).append(self._count)
         self._count += 1
@@ -203,6 +208,7 @@ class UpperBound:
 
     def _remove_interior(self, index):
         del self._beliefs[index]
+        del self._expansions[index]
         self._value_arr[index: self._count - 1] = self._value_arr[index + 1: self._count]
         self._count -= 1
         self._lp_cache = {}
@@ -271,9 +277,11 @@ def init_bounds(model):
 
 
 class Branch(NamedTuple):
-    """One action's successors at a belief: Pr(o|b,a), τ(b,a,o) (None where
-    the observation has ~zero probability), each child's value, and Q(b,a)."""
+    """One action's successors at a belief: the expected immediate reward
+    Σ_s R(s,a) b(s), Pr(o|b,a), τ(b,a,o) (None where the observation has
+    ~zero probability), each child's value, and Q(b,a)."""
 
+    reward: float
     obs_probs: np.ndarray
     posteriors: list
     values: list
@@ -291,22 +299,25 @@ def expand(model, value, b):
     one expansion.
     """
     immediate = expected_rewards_all_actions(model, b)
+    return revalue(model, value, [(immediate[a], *successor_distributions(model, b, a))
+                                  for a in range(model.num_actions)])
+
+
+def revalue(model, value, expansion):
+    """One Branch per action, valued by ``value``, from each action's
+    (reward, obs_probs, posteriors), the leading fields of a Branch. No
+    kernel runs: re-valuing an ``expand`` result gives bit for bit the Q
+    values that expanding its belief afresh against ``value`` would give."""
     branches = []
-    for a in range(model.num_actions):
-        obs_probs, posteriors = successor_distributions(model, b, a)
+    for reward, obs_probs, posteriors, *_ in expansion:
         values = [None if posterior is None else value(posterior) for posterior in posteriors]
         future = 0.0
         for prob, child in zip(obs_probs, values):
             if child is not None:
                 future += prob * child
-        branches.append(Branch(obs_probs, posteriors, values,
-                               immediate[a] + model.discount * future))
+        branches.append(Branch(reward, obs_probs, posteriors, values,
+                               reward + model.discount * future))
     return branches
-
-
-def upper_bellman(model, ub, b):
-    """max_a Q(b,a) against the upper bound."""
-    return max(branch.q for branch in expand(model, ub.value, b))
 
 
 # -- local updates -----------------------------------------------------------
@@ -352,13 +363,14 @@ def apply_update(model, bounds, b, expansion):
 
     The lower bound gains the backup vector folded from the expansion's
     posteriors against the lower bound as it stands now; the upper bound
-    gains the point (b, max Q of the expansion). The search passes the
-    expansion its descent made, so no successor is computed twice.
+    gains the point (b, max Q of the expansion) and keeps the expansion. The
+    search passes the expansion its descent made, so no successor is
+    computed twice.
     """
     bounds.lower.add(backup_lower(model, bounds.lower, b, expansion))
     if len(bounds.lower) >= PRUNE_GROWTH * bounds.lower.size_at_last_prune:
         prune_lower(bounds.lower)
-    bounds.upper.add_point(b, max(branch.q for branch in expansion))
+    bounds.upper.add_point(b, max(branch.q for branch in expansion), expansion)
     if bounds.upper.num_points >= PRUNE_GROWTH * bounds.upper.size_at_last_prune:
         prune_upper(model, bounds.upper)
     return bounds
@@ -397,7 +409,8 @@ def prune_upper(model, ub):
     outright would raise the hull there, so its value is replaced by the
     Bellman value instead: the stale value disappears and the bound only
     moves down. Points are processed in insertion order against the live set
-    (which always contains the point under test).
+    (which always contains the point under test). A Bellman value is the
+    point's stored expansion re-valued, so pruning runs no belief kernel.
     """
     index = 0
     while index < ub._count:
@@ -406,7 +419,7 @@ def prune_upper(model, ub):
         if ub.value(b) < v - DOMINATED_SLACK:
             ub._remove_interior(index)
             continue
-        bellman = upper_bellman(model, ub, b)
+        bellman = max(branch.q for branch in revalue(model, ub.value, ub._expansions[index]))
         if bellman < v - DOMINATED_SLACK:
             ub._value_arr[index] = bellman
         index += 1

@@ -75,8 +75,9 @@ def _run_episode(model, lb, config, rng, absorbing):
         total += weight * model.reward[action, state]
         if config.discounted:
             weight *= gamma
-        row = model.transition[action][[state]]
-        state = int(row.indices[_sample(rng, np.cumsum(row.data))])
+        transition = model.transition[action]
+        lo, hi = transition.indptr[state], transition.indptr[state + 1]
+        state = int(transition.indices[lo + _sample(rng, np.cumsum(transition.data[lo:hi]))])
         obs = _sample(rng, np.cumsum(model.observation[action, state]))
         b = belief_update(model, b, action, obs)
     return total

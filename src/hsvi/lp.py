@@ -18,11 +18,11 @@ the Harris bound min_i (x_i + PIVOT_TOL) / α_i, so no pivot drives a basic
 weight below −PIVOT_TOL, and ties always break toward the lowest basic index,
 so runs are deterministic.
 
-A start is the caller's warm basis (with its inverse, when the caller kept
-one) if it is still feasible for q, then the corner basis. Every answer is
-checked before it is used: after one step of iterative refinement, its
-weights must be non-negative and meet the matching rows to FEAS_TOL, which
-makes it a sound upper bound even where round-off has drifted B⁻¹. An answer that fails the check is pivoted on
+A start is the caller's warm basis with its inverse if it is still feasible
+for q, then the corner basis. Every answer is checked before it is used:
+after one step of iterative refinement, its weights must be non-negative and
+meet the matching rows to FEAS_TOL, which makes it a sound upper bound even
+where round-off has drifted B⁻¹. An answer that fails the check is pivoted on
 once more from a freshly inverted final basis; if it fails again, or a start
 stalls at the iteration cap, the next start takes over. After the corner
 start, the same LP goes to scipy's HiGHS, whose answer is checked the same
@@ -148,21 +148,6 @@ def _from_basis(a, q, c, basis, inverse, max_iter):
             return None
 
 
-def _warm_inverse(a, basis, inverse):
-    """A copy of the caller's B⁻¹, or B⁻¹ by inversion when the caller kept
-    none; None if ``basis`` is not a square, nonsingular basis of ``a``."""
-    if inverse is not None:
-        return inverse.copy()
-    d, n = a.shape
-    basis = np.asarray(basis)
-    if basis.shape != (d,) or basis.min() < 0 or basis.max() >= n or np.unique(basis).size != d:
-        return None
-    try:
-        return np.linalg.inv(a[:, basis])
-    except np.linalg.LinAlgError:
-        return None
-
-
 def _highs(a, q, c):
     """The same LP through HiGHS, for when both simplex starts break down.
 
@@ -192,21 +177,20 @@ def projection_lp(point_rows, point_values, query_vec, corner_columns,
     simplex, ``query_vec`` lies on the same simplex, and ``corner_columns[s]``
     is the row holding corner e_s. The constraint matrix is ``point_rows.T``;
     pass the transpose of a C-contiguous (d, n_points) array to avoid a copy.
-    The simplex starts from ``warm_basis`` (with B⁻¹ ``warm_inverse``, e.g.
-    the ``basis`` and ``inverse`` of an earlier solution on the same rows)
-    when it is given and still feasible, then from the corner basis, and
-    hands the LP to HiGHS if neither start yields a checked answer.
+    The simplex starts from ``warm_basis`` with its B⁻¹ ``warm_inverse``
+    (both given or neither, e.g. the ``basis`` and ``inverse`` of an earlier
+    solution on the same rows; the inverse is copied, not changed) when it is
+    still feasible, then from the corner basis, and hands the LP to HiGHS if
+    neither start yields a checked answer.
     """
     a = np.ascontiguousarray(point_rows.T)
     c = np.asarray(point_values, dtype=np.float64)
     d, n = a.shape
     max_iter = 10 * (n + d)
     if warm_basis is not None:
-        inverse = _warm_inverse(a, warm_basis, warm_inverse)
-        if inverse is not None:
-            solution = _from_basis(a, query_vec, c, warm_basis, inverse, max_iter)
-            if solution is not None:
-                return solution
+        solution = _from_basis(a, query_vec, c, warm_basis, warm_inverse.copy(), max_iter)
+        if solution is not None:
+            return solution
     solution = _from_basis(a, query_vec, c, corner_columns, np.eye(d), max_iter)
     return solution if solution is not None else _highs(a, query_vec, c)
 

@@ -244,3 +244,16 @@ def random_pomdp(rng, num_states, num_actions, num_observations, discount):
     r = rng.uniform(-1.0, 1.0, size=(num_actions, num_states))
     b0 = Belief.from_dense(rng.dirichlet(np.ones(num_states)))
     return PomdpModel(t, o, r, discount, b0)
+
+
+SUITE_SEED = 20260808
+
+
+def suite_model(index):
+    """Model ``index`` of acceptance criterion 3's random suite: |S| in 2..4,
+    |A| and |O| in 1..3, discount 0.9."""
+    rng = np.random.default_rng([SUITE_SEED, index])
+    ns = int(rng.integers(2, 5))
+    na = int(rng.integers(1, 4))
+    no = int(rng.integers(1, 4))
+    return random_pomdp(rng, ns, na, no, 0.9)

@@ -30,7 +30,7 @@ from hsvi import (
 )
 from hsvi.bounds import LowerBound
 
-SUITE_SEED = 20260808
+SUITE_SEED = oracles.SUITE_SEED
 SUITE_SIZE = 50
 ROCKSAMPLE_BUDGET_S = 600.0
 ROCKSAMPLE_EPISODES = 500
@@ -47,17 +47,9 @@ def _report(criterion, passed, detail):
 # shared artifacts
 # ---------------------------------------------------------------------------
 
-def _suite_model(index):
-    rng = np.random.default_rng([SUITE_SEED, index])
-    ns = int(rng.integers(2, 5))
-    na = int(rng.integers(1, 4))
-    no = int(rng.integers(1, 4))
-    return oracles.random_pomdp(rng, ns, na, no, 0.9)
-
-
 def _run_suite_model(index):
     """Criterion-3 work: solve to epsilon and certify the exact value."""
-    model = _suite_model(index)
+    model = oracles.suite_model(index)
     t0 = time.monotonic()
     result = solve(model, SolverConfig(epsilon=0.01, audit_num_beliefs=32,
                                        audit_seed=SUITE_SEED + index))
@@ -91,7 +83,7 @@ def _run_suite_model(index):
 def _evaluate_suite_policy(args):
     """Criterion-8 work: simulate the stored greedy policy."""
     index, policy = args
-    model = _suite_model(index)
+    model = oracles.suite_model(index)
     lb = LowerBound(model.num_states)
     for action, vector in policy:
         lb.add(AlphaVector(vector, action))

@@ -1,7 +1,11 @@
 """Bound representations, initialization, backups, updates, pruning."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import tiny_deterministic_model, zero_reward_model
@@ -22,7 +26,7 @@ from hsvi import (
     prune_lower,
     prune_upper,
 )
-from hsvi.bounds import LowerBound, UpperBound, upper_bellman
+from hsvi.bounds import LowerBound, UpperBound, revalue
 
 
 def _simple_model(t, o, r, gamma=0.9, b0=None):
@@ -114,7 +118,8 @@ def test_lower_value_matches_naive_max(rng):
 def test_upper_value_corner_exactness(rng):
     ub = UpperBound(rng.uniform(0, 5, size=4))
     for _ in range(6):
-        ub.add_point(Belief.from_dense(rng.dirichlet(np.ones(4))), float(rng.uniform(-1, 4)))
+        ub.add_point(Belief.from_dense(rng.dirichlet(np.ones(4))), float(rng.uniform(-1, 4)),
+                     None)
     for s in range(4):
         assert ub.value(Belief.point_mass(s, 4)) == ub.corner_values[s]
 
@@ -122,9 +127,9 @@ def test_upper_value_corner_exactness(rng):
 def test_upper_value_matches_full_hull_on_sparse_support(rng):
     # support restriction must not change the projection value
     ub = UpperBound(rng.uniform(1, 5, size=4))
-    ub.add_point(Belief(4, [0, 1], [0.5, 0.5]), 0.7)
-    ub.add_point(Belief(4, [0, 1, 2], [0.2, 0.3, 0.5]), 1.1)
-    ub.add_point(Belief.from_dense(rng.dirichlet(np.ones(4))), 2.0)
+    ub.add_point(Belief(4, [0, 1], [0.5, 0.5]), 0.7, None)
+    ub.add_point(Belief(4, [0, 1, 2], [0.2, 0.3, 0.5]), 1.1, None)
+    ub.add_point(Belief.from_dense(rng.dirichlet(np.ones(4))), 2.0, None)
     for query in (Belief(4, [0, 1], [0.25, 0.75]),
                   Belief(4, [0, 1, 2], [0.4, 0.3, 0.3]),
                   Belief.from_dense(rng.dirichlet(np.ones(4)))):
@@ -135,21 +140,21 @@ def test_upper_value_matches_full_hull_on_sparse_support(rng):
 def test_upper_dedup_replaces_if_lower(rng):
     ub = UpperBound(np.full(3, 5.0))
     b = Belief.from_dense(np.array([0.2, 0.3, 0.5]))
-    ub.add_point(b, 3.0)
-    ub.add_point(Belief.from_dense(np.array([0.2, 0.3, 0.5])), 4.0)  # discarded
+    ub.add_point(b, 3.0, None)
+    ub.add_point(Belief.from_dense(np.array([0.2, 0.3, 0.5])), 4.0, None)  # discarded
     assert ub.num_points == 4
     assert ub.value(b) == pytest.approx(3.0)
-    ub.add_point(Belief.from_dense(np.array([0.2, 0.3, 0.5])), 2.0)  # replaces
+    ub.add_point(Belief.from_dense(np.array([0.2, 0.3, 0.5])), 2.0, None)  # replaces
     assert ub.num_points == 4
     assert ub.value(b) == pytest.approx(2.0)
 
 
 def test_upper_point_mass_update_lowers_corner():
     ub = UpperBound(np.full(2, 5.0))
-    ub.add_point(Belief.point_mass(1, 2), 3.5)
+    ub.add_point(Belief.point_mass(1, 2), 3.5, None)
     assert ub.num_points == 2
     assert ub.corner_values[1] == 3.5
-    ub.add_point(Belief.point_mass(1, 2), 4.5)  # higher: ignored
+    ub.add_point(Belief.point_mass(1, 2), 4.5, None)  # higher: ignored
     assert ub.corner_values[1] == 3.5
 
 
@@ -349,7 +354,7 @@ def test_updates_preserve_uniform_improvability(rng):
         assert h >= bounds.lower.value(b) - 1e-9
     # upper: every stored point sits at or above its own one-step value
     for b, v in bounds.upper.interior_points:
-        assert upper_bellman(m, bounds.upper, b) <= v + 1e-9
+        assert max(branch.q for branch in expand(m, bounds.upper.value, b)) <= v + 1e-9
 
 
 def test_bounds_sandwich_exact_value(rng):
@@ -402,7 +407,8 @@ def test_prune_upper_removes_stale_points_without_raising_bound(rng):
     # seed points at deliberately loose values so they become dominated
     beliefs = [Belief.from_dense(rng.dirichlet(np.ones(3))) for _ in range(12)]
     for b in beliefs:
-        ub.add_point(b, float(ub.value(b)))  # exactly on the current hull
+        # exactly on the current hull, with the expansion an update would store
+        ub.add_point(b, float(ub.value(b)), expand(m, ub.value, b))
     for b in beliefs[:6]:
         local_update(m, bounds, b)
     audits = [Belief.from_dense(rng.dirichlet(np.ones(3))) for _ in range(40)]
@@ -416,7 +422,7 @@ def test_prune_upper_removes_stale_points_without_raising_bound(rng):
     # uniform improvability survives the prune: no stored value sits below
     # its own one-step backup's reach
     for b, v in ub.interior_points:
-        assert upper_bellman(m, ub, b) <= v + 1e-9
+        assert max(branch.q for branch in expand(m, ub.value, b)) <= v + 1e-9
 
 
 def test_prune_upper_keeps_corners(rng):
@@ -426,3 +432,34 @@ def test_prune_upper_keeps_corners(rng):
     prune_upper(m, ub)
     assert ub.num_points >= 3
     assert np.all(ub.corner_values <= corners_before + 1e-12)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), num_states=st.integers(2, 4),
+       num_actions=st.integers(1, 3), num_observations=st.integers(1, 3),
+       visits=st.lists(st.integers(0, 4), min_size=1, max_size=12))
+def test_stored_expansion_revalues_like_a_fresh_expansion(seed, num_states, num_actions,
+                                                          num_observations, visits):
+    # Updates at beliefs drawn, with repeats, from a pool that holds a
+    # near-copy (within the dedup distance) of another belief and a corner,
+    # so some insertions fold into existing points and some prune. Each
+    # interior point's stored expansion, re-valued as prune_upper does, must
+    # give bit for bit the max Q that expanding its belief afresh gives.
+    rng = np.random.default_rng(seed)
+    m = oracles.random_pomdp(rng, num_states, num_actions, num_observations, 0.9)
+    drawn = rng.dirichlet(np.ones(num_states))
+    pool = [m.initial_belief, Belief.from_dense(rng.dirichlet(np.ones(num_states))),
+            Belief.from_dense(drawn),
+            Belief.from_dense(drawn * (1.0 + 1e-11 * rng.random(num_states))),
+            Belief.point_mass(0, num_states)]
+    bounds = init_bounds(m)
+    for index in visits:
+        local_update(m, bounds, pool[index])
+    ub = bounds.upper
+    # a cold LP over a frozen copy of the points is a pure value function;
+    # the bound's own LP warm-starts from its previous query
+    value = functools.partial(hull_projection, ub.points)
+    assert len(ub._expansions) == ub.num_points - num_states
+    for b, expansion in zip(ub._beliefs, ub._expansions):
+        fresh = max(branch.q for branch in expand(m, value, b))
+        assert max(branch.q for branch in revalue(m, value, expansion)) == fresh

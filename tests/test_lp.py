@@ -51,20 +51,9 @@ def test_warm_start_reproduces_solution(rng):
     query = rng.dirichlet(np.ones(3))
     corner = projection_lp(rows, vals, query, corner_columns=np.arange(3))
     warm = projection_lp(rows, vals, query, corner_columns=np.arange(3),
-                         warm_basis=np.asarray(corner.basis))
+                         warm_basis=np.asarray(corner.basis), warm_inverse=corner.inverse)
     assert warm.value == pytest.approx(corner.value, abs=1e-10)
     assert warm.iterations == 0
-
-
-def test_invalid_warm_basis_falls_back_to_corners(rng):
-    points = rng.dirichlet(np.ones(3), size=4)
-    rows = np.vstack([np.eye(3), points])
-    vals = rng.uniform(-1.0, 3.0, size=7)
-    query = rng.dirichlet(np.ones(3))
-    expected = projection_lp(rows, vals, query, np.arange(3)).value
-    for warm in ([0, 0, 1], [0, 1], [0, 1, 99]):
-        got = projection_lp(rows, vals, query, np.arange(3), warm_basis=np.array(warm))
-        assert got.value == pytest.approx(expected, abs=1e-10)
 
 
 def _highs_reference(rows, vals, query):
@@ -84,7 +73,8 @@ def test_stalling_lp_falls_back_to_highs():
     lp = np.load(DATA / "rocksample55_stalling_lp.npz")
     rows, vals, query = lp["point_rows"], lp["point_values"], lp["query_vec"]
     sol = projection_lp(rows, vals, query, corner_columns=lp["corner_columns"],
-                        warm_basis=lp["warm_basis"])
+                        warm_basis=lp["warm_basis"],
+                        warm_inverse=np.linalg.inv(rows.T[:, lp["warm_basis"]]))
     d = query.size
     reference = linprog(vals, A_eq=np.vstack([rows.T[: d - 1], np.ones(len(vals))]),
                         b_eq=np.append(query[: d - 1], 1.0), bounds=(0, None),
@@ -108,7 +98,8 @@ def test_highs_answers_when_both_starts_fail(monkeypatch, step, failing):
     rows, vals, query = lp["point_rows"], lp["point_values"], lp["query_vec"]
     monkeypatch.setattr(lp_module, step, failing)
     sol = projection_lp(rows, vals, query, corner_columns=lp["corner_columns"],
-                        warm_basis=lp["warm_basis"])
+                        warm_basis=lp["warm_basis"],
+                        warm_inverse=np.linalg.inv(rows.T[:, lp["warm_basis"]]))
     assert sol.basis is None and sol.inverse is None
     assert sol.value == pytest.approx(_highs_reference(rows, vals, query), abs=1e-9)
     assert sol.x.min() >= 0.0
@@ -123,7 +114,8 @@ def test_drifted_answer_is_rejected():
     lp = np.load(DATA / "rocksample44_unchecked_lp.npz")
     rows, vals, query = lp["point_rows"], lp["point_values"], lp["query_vec"]
     sol = projection_lp(rows, vals, query, corner_columns=lp["corner_columns"],
-                        warm_basis=lp["warm_basis"])
+                        warm_basis=lp["warm_basis"],
+                        warm_inverse=np.linalg.inv(rows.T[:, lp["warm_basis"]]))
     assert sol.value == pytest.approx(_highs_reference(rows, vals, query), abs=1e-9)
     assert sol.x.min() >= -FEAS_TOL
     assert sol.residual <= FEAS_TOL
@@ -218,7 +210,7 @@ def test_warm_state_answers_match_caratheodory_as_values_drop(case):
     corners, points, steps = case
     ub = UpperBound(corners)
     for point, v in points:
-        ub.add_point(Belief.from_dense(point), v)
+        ub.add_point(Belief.from_dense(point), v, None)
     rows = np.stack([b.to_dense() for b, _ in ub.points])
     d = corners.size
     basis = inverse = None

@@ -49,7 +49,7 @@ def test_lp_counters_read_a_real_call(monkeypatch):
 
     monkeypatch.setattr(hsvi.bounds, "projection_lp", recording)
     ub = UpperBound(np.array([4.0, 3.0, 5.0, 2.0]))
-    ub.add_point(Belief(4, [0, 1, 3], [0.5, 0.25, 0.25]), 1.0)
+    ub.add_point(Belief(4, [0, 1, 3], [0.5, 0.25, 0.25]), 1.0, None)
     ub.value(Belief(4, [0, 1, 3], [0.25, 0.5, 0.25]))
     (args, result), = calls
     counts = _layers()._lp_work(args, result)

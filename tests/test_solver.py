@@ -1,6 +1,5 @@
 """Forward search, heuristics, drivers, and their theoretical guardrails."""
 
-import math
 import sys
 
 import numpy as np
@@ -199,8 +198,6 @@ def test_trial_expands_each_visited_belief_once(rng, monkeypatch):
     monkeypatch.setattr(bounds_module, "successor_distributions",
                         lambda *args: kernel_calls.append((id(args[1]), args[2]))
                         or original_kernel(*args))
-    # prune_upper re-expands every stored point by design; keep it out of the count
-    monkeypatch.setattr(bounds_module, "PRUNE_GROWTH", math.inf)
     gap = float(bounds.upper.corner_values.max() - bounds.lower.matrix.min(axis=1).max())
     b0 = m.initial_belief
     updates, _, _ = solver_module._trial(m, bounds, b0, 0, 0.01, depth_bound(0.01, gap, 0.9),
@@ -238,6 +235,26 @@ def test_solve_single_state_geometric():
     assert res.terminated_by == "epsilon-reached"
     assert res.trace.lower_b0[-1] == pytest.approx(20.0, abs=0.01)
     assert res.trace.upper_b0[-1] == pytest.approx(20.0, abs=0.01)
+
+
+# (trials, updates, points, vectors, lower_b0, upper_b0) of solve at epsilon
+# 0.01 on three criterion-3 suite models, pinned so that refactors that
+# promise the same search keep it exactly
+SUITE_FINGERPRINTS = {
+    28: (4, 137, 4, 138, 7.626771224771052, 7.634584975330343),
+    34: (4, 116, 8, 117, 1.1470713854900008, 1.1523775091845896),
+    44: (7, 111, 8, 112, 3.050200423080419, 3.060161924874694),
+}
+
+
+@pytest.mark.parametrize("index", sorted(SUITE_FINGERPRINTS))
+def test_solve_trace_fingerprint(index):
+    trials, updates, points, vectors, lower, upper = SUITE_FINGERPRINTS[index]
+    res = solve(oracles.suite_model(index), SolverConfig(epsilon=0.01))
+    assert (res.trace.trial[-1], res.total_updates, res.bounds.upper.num_points,
+            len(res.bounds.lower)) == (trials, updates, points, vectors)
+    assert res.trace.lower_b0[-1] == pytest.approx(lower, abs=1e-12)
+    assert res.trace.upper_b0[-1] == pytest.approx(upper, abs=1e-12)
 
 
 def test_solve_random_models_bracket_exact_value(rng):
