@@ -16,8 +16,6 @@ from hsvi import (
     evaluate,
     gen_rocksample,
     load_policy,
-    lower_bound_from_policy,
-    policy_from_lower_bound,
     save_policy,
     solve_anytime,
 )
@@ -49,8 +47,8 @@ print(f"guarantee check: mean in [lower-3se, upper+3se] = "
       f"[{lo:.2f}, {hi:.2f}] -> {lo <= stats.mean <= hi}")
 
 sink = io.StringIO()
-save_policy(policy_from_lower_bound(result.bounds.lower), sink)
-reloaded = lower_bound_from_policy(load_policy(sink.getvalue()))
+save_policy(result.bounds.lower, sink)
+reloaded = load_policy(sink.getvalue())
 replay = evaluate(model, reloaded, EvalConfig(num_episodes=200, horizon=251, seed=0))
 print(f"\npolicy file round trip: replayed mean {replay.mean:.2f} "
       f"(bit-identical: {bool((stats.returns == replay.returns).all())})")

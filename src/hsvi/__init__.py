@@ -37,13 +37,10 @@ from .errors import (
 )
 from .evaluator import EvalConfig, EvalResult, evaluate, policy_action, simulate_episode
 from .fileio import (
-    PolicyFile,
     load_policy,
     load_policy_file,
     load_pomdp,
-    lower_bound_from_policy,
     parse_pomdp,
-    policy_from_lower_bound,
     save_policy,
     write_pomdp,
 )

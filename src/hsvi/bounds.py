@@ -59,7 +59,6 @@ class LowerBound:
         self._matrix = np.empty((8, num_states))
         self._actions = np.empty(8, dtype=np.int64)
         self._count = 0
-        self._pruned_prefix = 0
         self.size_at_last_prune = 0
 
     def __len__(self):
@@ -100,10 +99,13 @@ class UpperBound:
     """Point set over the belief simplex; all corners are present and permanent.
 
     Interior points are kept in insertion order, each with the expansion it
-    was inserted with. Evaluation restricts the LP to the query's support:
-    only points whose support is contained in the query's can carry weight,
-    and the matching constraints outside that support are trivially
-    satisfied, so the projection value is unchanged.
+    was inserted with; their supports are also concatenated in one array, cut
+    by offsets, so that one vectorized pass finds the points whose support
+    lies inside a query's. Evaluation restricts the LP to those points: no
+    other point can carry weight, and the matching constraints outside the
+    query's support are trivially satisfied, so the projection value is
+    unchanged. The same pass finds an inserted belief's possible duplicates,
+    the points whose support equals its own.
     Queries repeat the same support patterns heavily, so each pattern caches
     the indices of its interior points, their constraint matrix (the
     contiguous transpose of the point rows, corners first) and the last
@@ -122,19 +124,19 @@ class UpperBound:
         self.corner_values = corner_values
         self._beliefs = []
         self._expansions = []
-        self._value_arr = np.empty(8)
-        self._count = 0
+        self._value_arr = np.empty(0)
+        self._supports = np.empty(0, dtype=np.int64)
+        self._offsets = np.zeros(1, dtype=np.int64)
         self._lp_cache = {}
-        self._dedup = {}
         self.size_at_last_prune = self.num_points
 
     @property
     def num_points(self):
-        return self.num_states + self._count
+        return self.num_states + len(self._beliefs)
 
     @property
     def interior_points(self):
-        return [(b, float(v)) for b, v in zip(self._beliefs, self._value_arr[: self._count])]
+        return [(b, float(v)) for b, v in zip(self._beliefs, self._value_arr)]
 
     @property
     def points(self):
@@ -143,22 +145,28 @@ class UpperBound:
                    for s in range(self.num_states)]
         return corners + self.interior_points
 
+    def _inside(self, b):
+        """Indices, in insertion order, of the interior points whose support
+        lies inside b's."""
+        inside = np.zeros(self.num_states, dtype=bool)
+        inside[b.states] = True
+        return np.flatnonzero(np.logical_and.reduceat(inside[self._supports],
+                                                      self._offsets[:-1]))
+
     def _lp_pieces(self, b):
         """(interior indices, constraint matrix, warm state) for b's support."""
-        key = b.support_mask()
+        key = b.states.tobytes()
         cached = self._lp_cache.get(key)
         if cached is not None:
             return cached
         support = b.states
         k = support.size
-        picked = [i for i, point in enumerate(self._beliefs)
-                  if point.support_mask() | key == key]
-        columns = np.zeros((k, k + len(picked)))
+        picked = self._inside(b)
+        columns = np.zeros((k, k + picked.size))
         columns[:, :k] = np.eye(k)
         for j, i in enumerate(picked):
             point = self._beliefs[i]
             columns[np.searchsorted(support, point.states), k + j] = point.probs
-        picked = np.asarray(picked, dtype=np.intp)
         warm = {"basis": None, "inverse": None}
         self._lp_cache[key] = (picked, columns, warm)
         return picked, columns, warm
@@ -190,31 +198,29 @@ class UpperBound:
             if value < self.corner_values[s]:
                 self.corner_values[s] = value
             return
-        mask = b.support_mask()
-        for i in self._dedup.get(mask, ()):
-            # identical support masks mean identical state arrays
-            if np.abs(self._beliefs[i].probs - b.probs).sum() <= POINT_DEDUP_L1:
+        for i in self._inside(b):
+            # inside b's support and as long: the same support
+            point = self._beliefs[i]
+            if len(point) == len(b) and np.abs(point.probs - b.probs).sum() <= POINT_DEDUP_L1:
                 if value < self._value_arr[i]:
                     self._value_arr[i] = value
                 return
-        if self._count == self._value_arr.size:
-            self._value_arr = np.concatenate([self._value_arr, np.empty_like(self._value_arr)])
+        self._value_arr = np.append(self._value_arr, value)
+        self._supports = np.concatenate([self._supports, b.states])
+        self._offsets = np.append(self._offsets, self._supports.size)
         self._beliefs.append(b)
         self._expansions.append(expansion)
-        self._value_arr[self._count] = value
-        self._dedup.setdefault(mask, []).append(self._count)
-        self._count += 1
         self._lp_cache = {}
 
     def _remove_interior(self, index):
         del self._beliefs[index]
         del self._expansions[index]
-        self._value_arr[index: self._count - 1] = self._value_arr[index + 1: self._count]
-        self._count -= 1
+        self._value_arr = np.delete(self._value_arr, index)
+        start, end = self._offsets[index], self._offsets[index + 1]
+        self._supports = np.delete(self._supports, np.s_[start:end])
+        self._offsets = np.delete(self._offsets, index + 1)
+        self._offsets[index + 1:] -= end - start
         self._lp_cache = {}
-        self._dedup = {}
-        for i, point in enumerate(self._beliefs):
-            self._dedup.setdefault(point.support_mask(), []).append(i)
 
 
 @dataclass
@@ -387,13 +393,12 @@ def prune_lower(lb):
     bound is unchanged as a function: removed vectors were nowhere best.
     """
     matrix = lb.matrix
-    keep = list(range(lb._pruned_prefix))
-    for i in range(lb._pruned_prefix, len(lb)):
+    keep = list(range(lb.size_at_last_prune))
+    for i in range(lb.size_at_last_prune, len(lb)):
         if keep and bool(np.any(np.all(matrix[keep] >= matrix[i], axis=1))):
             continue
         keep.append(i)
     lb._rewrite(np.asarray(keep, dtype=np.int64))
-    lb._pruned_prefix = len(lb)
     lb.size_at_last_prune = len(lb)
     return lb
 
@@ -413,7 +418,7 @@ def prune_upper(model, ub):
     point's stored expansion re-valued, so pruning runs no belief kernel.
     """
     index = 0
-    while index < ub._count:
+    while index < len(ub._beliefs):
         b = ub._beliefs[index]
         v = float(ub._value_arr[index])
         if ub.value(b) < v - DOMINATED_SLACK:

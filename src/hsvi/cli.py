@@ -18,16 +18,9 @@ import logging
 import os
 import sys
 
-from .errors import HsviError
+from .errors import HsviError, InvalidParams
 from .evaluator import EvalConfig, evaluate
-from .fileio import (
-    load_policy_file,
-    load_pomdp,
-    lower_bound_from_policy,
-    policy_from_lower_bound,
-    save_policy,
-    write_pomdp,
-)
+from .fileio import load_policy_file, load_pomdp, save_policy, write_pomdp
 from .rocksample import RockSampleParams, gen_rocksample
 from .solver import SolverConfig, solve, solve_anytime
 
@@ -50,7 +43,7 @@ def _write_outputs(result, args):
         result.trace.write_csv(args.trace)
         log.info("trace written to %s", args.trace)
     if args.policy:
-        save_policy(policy_from_lower_bound(result.bounds.lower), args.policy)
+        save_policy(result.bounds.lower, args.policy)
         log.info("policy written to %s", args.policy)
 
 
@@ -75,7 +68,10 @@ def cmd_anytime(args):
 
 def _parse_cell(text):
     x, _, y = text.partition(",")
-    return int(x), int(y)
+    try:
+        return int(x), int(y)
+    except ValueError:
+        raise InvalidParams(f"expected a cell X,Y, got {text!r}") from None
 
 
 def cmd_gen_rocksample(args):
@@ -95,16 +91,15 @@ def cmd_gen_rocksample(args):
 
 def cmd_evaluate(args):
     model = load_pomdp(args.model)
-    policy = load_policy_file(args.policy)
-    if policy.num_states != model.num_states:
-        print(f"error: policy has |S|={policy.num_states}, model has "
+    lb = load_policy_file(args.policy)
+    if lb.num_states != model.num_states:
+        print(f"error: policy has |S|={lb.num_states}, model has "
               f"|S|={model.num_states}", file=sys.stderr)
         return 1
-    if any(a >= model.num_actions for a, _ in policy.entries):
+    if (lb.actions >= model.num_actions).any():
         print("error: policy references actions the model does not have",
               file=sys.stderr)
         return 1
-    lb = lower_bound_from_policy(policy)
     config = EvalConfig(num_episodes=args.episodes, horizon=args.horizon,
                         seed=args.seed, discounted=not args.undiscounted)
     result = evaluate(model, lb, config)

@@ -27,8 +27,9 @@ class ParseError(HsviError):
         super().__init__(message)
 
 
-class InvalidParams(HsviError):
-    """Benchmark generator parameters are out of range or inconsistent."""
+class InvalidParams(HsviError, ValueError):
+    """Solver, evaluator or generator parameters are out of range or
+    inconsistent."""
 
 
 class NoConvergence(HsviError):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ZeroProbabilityObservation
+from .errors import InvalidParams, ValidationError, ZeroProbabilityObservation
 from .model import belief_update
 
 CI95_FACTOR = 1.96
@@ -28,7 +28,7 @@ class EvalConfig:
 
     def __post_init__(self):
         if self.num_episodes < 1 or self.horizon < 1:
-            raise ValueError("need num_episodes >= 1 and horizon >= 1")
+            raise InvalidParams("need num_episodes >= 1 and horizon >= 1")
 
 
 @dataclass
@@ -113,6 +113,8 @@ def _run_episodes(model, lb, config):
 
 def evaluate(model, lb, config):
     """Run config.num_episodes independent episodes and summarize."""
+    if not len(lb):
+        raise ValidationError("the policy holds no alpha vector")
     returns, aborted = _run_episodes(model, lb, config)
 
     mean = float(returns.mean())

@@ -26,7 +26,9 @@ Observations are kept dense (A, S, O). Rewards richer than R(s,a)
 are folded at load time by expectation over the model dynamics:
 R(s,a) = sum_{s'} T(s,a,s') sum_o O(s',a,o) R(a,s,s',o).
 
-Policy file format, line-oriented:
+A policy is a LowerBound: its vectors, in order, with their action tags,
+and the greedy action at a belief is the tag of the best vector there.
+`save_policy` writes one and `load_policy` reads it back, line-oriented:
 
     alpha-policy v1 |S|=<n>
     <action-index>
@@ -39,7 +41,6 @@ All floats are written with 17 significant digits so round trips are exact.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -453,77 +454,51 @@ def _write_pomdp(model, out):
 POLICY_HEADER_PREFIX = "alpha-policy v1 |S|="
 
 
-@dataclass
-class PolicyFile:
-    """Serializable list of (action, alpha-vector) pairs."""
-
-    num_states: int
-    entries: list
-
-    def __post_init__(self):
-        for action, vector in self.entries:
-            if int(action) < 0:
-                raise ValidationError(f"negative action index {action}")
-            if np.asarray(vector).shape != (self.num_states,):
-                raise ValidationError("policy vector length does not match |S|")
-
-
-def policy_from_lower_bound(lb):
-    return PolicyFile(lb.num_states,
-                      [(int(a), v.copy()) for v, a in zip(lb.matrix, lb.actions)])
-
-
-def lower_bound_from_policy(policy):
-    lb = LowerBound(policy.num_states)
-    for action, vector in policy.entries:
-        lb.add(AlphaVector(np.asarray(vector, dtype=np.float64), action))
-    return lb
-
-
-def save_policy(policy, sink):
+def save_policy(lb, sink):
+    """Write a LowerBound's vectors in order, each after its action tag."""
     if hasattr(sink, "write"):
-        _save_policy(policy, sink)
+        _save_policy(lb, sink)
     else:
         with open(sink, "w") as handle:
-            _save_policy(policy, handle)
+            _save_policy(lb, handle)
 
 
-def _save_policy(policy, out):
-    out.write(f"{POLICY_HEADER_PREFIX}{policy.num_states}\n")
-    for action, vector in policy.entries:
+def _save_policy(lb, out):
+    out.write(f"{POLICY_HEADER_PREFIX}{lb.num_states}\n")
+    for action, vector in zip(lb.actions, lb.matrix):
         out.write(f"{int(action)}\n")
         out.write(" ".join(_fmt(x) for x in vector) + "\n")
 
 
 def load_policy(source):
-    """Parse a policy from text or a readable handle."""
+    """The LowerBound a policy file holds, from text or a readable handle.
+
+    Raises ParseError (with a line number) on grammar problems, a negative
+    action index included, and ValidationError on a non-finite vector.
+    """
     text = source.read() if hasattr(source, "read") else source
-    return parse_policy(text)
-
-
-def load_policy_file(path):
-    with open(path, "r") as handle:
-        return parse_policy(handle.read())
-
-
-def parse_policy(text):
-    lines = [ln.rstrip("\n") for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln.strip()]
+    lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith(POLICY_HEADER_PREFIX):
         raise ParseError("missing policy header", 1)
-    try:
-        num_states = int(lines[0][len(POLICY_HEADER_PREFIX):])
-    except ValueError:
-        raise ParseError("bad |S| in policy header", 1) from None
+    size = lines[0][len(POLICY_HEADER_PREFIX):].strip()
+    if not size.isdecimal() or int(size) < 1:
+        raise ParseError("bad |S| in policy header", 1)
+    num_states = int(size)
     body = lines[1:]
     if len(body) % 2:
         raise ParseError("policy file has a dangling action line", len(lines))
-    entries = []
+    lb = LowerBound(num_states)
     for i in range(0, len(body), 2):
         try:
             action = int(body[i])
         except ValueError:
             raise ParseError(f"bad action index {body[i]!r}", i + 2) from None
-        values = np.array(_floats(body[i + 1].split(), i + 3, num_states))
-        entries.append((action, values))
-    return PolicyFile(num_states, entries)
+        if action < 0:
+            raise ParseError(f"negative action index {action}", i + 2)
+        lb.add(AlphaVector(np.array(_floats(body[i + 1].split(), i + 3, num_states)), action))
+    return lb
+
+
+def load_policy_file(path):
+    with open(path, "r") as handle:
+        return load_policy(handle)

@@ -34,7 +34,7 @@ class Belief:
     read-only.
     """
 
-    __slots__ = ("num_states", "states", "probs", "_mask")
+    __slots__ = ("num_states", "states", "probs")
 
     def __init__(self, num_states, states, probs):
         states = np.asarray(states, dtype=np.int64)
@@ -69,7 +69,6 @@ class Belief:
         self.num_states = num_states
         self.states = states
         self.probs = probs
-        self._mask = None
 
     @classmethod
     def _trusted(cls, num_states, states, probs):
@@ -104,15 +103,6 @@ class Belief:
     def dot(self, dense_vector):
         """Expectation of a dense per-state vector under this belief."""
         return float(dense_vector[self.states] @ self.probs)
-
-    def support_mask(self):
-        """Support as a python int bitmask; cached (subset tests are hot)."""
-        if self._mask is None:
-            m = 0
-            for s in self.states:
-                m |= 1 << int(s)
-            self._mask = m
-        return self._mask
 
     def __len__(self):
         return self.states.size

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import apply_update, expand, init_bounds
-from .errors import DepthCapExceeded
+from .errors import DepthCapExceeded, InvalidParams
 
 DEPTH_MARGIN = 2          # slack past the theoretical cap before declaring a bug
 MACHINE_WIDTH = 1e-9      # anytime stops once the gap is numerically closed
@@ -54,9 +54,9 @@ class SolverConfig:
 
     def __post_init__(self):
         if not self.epsilon > 0.0:
-            raise ValueError("epsilon must be positive")
+            raise InvalidParams("epsilon must be positive")
         if not 0.0 < self.zeta < 1.0:
-            raise ValueError("zeta must lie in (0, 1)")
+            raise InvalidParams("zeta must lie in (0, 1)")
 
 
 @dataclass

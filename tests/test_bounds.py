@@ -26,7 +26,7 @@ from hsvi import (
     prune_lower,
     prune_upper,
 )
-from hsvi.bounds import LowerBound, UpperBound, revalue
+from hsvi.bounds import POINT_DEDUP_L1, LowerBound, UpperBound, revalue
 
 
 def _simple_model(t, o, r, gamma=0.9, b0=None):
@@ -463,3 +463,56 @@ def test_stored_expansion_revalues_like_a_fresh_expansion(seed, num_states, num_
     for b, expansion in zip(ub._beliefs, ub._expansions):
         fresh = max(branch.q for branch in expand(m, value, b))
         assert max(branch.q for branch in revalue(m, value, expansion)) == fresh
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       steps=st.lists(st.tuples(st.sampled_from(["add", "copy", "near", "remove", "prune"]),
+                                st.integers(0, 2 ** 16)), min_size=1, max_size=20))
+def test_support_index_survives_removal(seed, steps):
+    # Points on sparse supports of a 6-state simplex are added, removed one at
+    # a time and by prune_upper, and inserted again as exact copies and as
+    # near-copies within the dedup distance, of live and of removed points.
+    # After every step, queries on sparse supports must value as the hull of
+    # the stored points, and a folded copy must not count as a point.
+    n = 6
+    rng = np.random.default_rng(seed)
+    m = oracles.random_pomdp(rng, n, 2, 2, 0.9)
+    ub = init_upper(m)
+    live, seen = [], []
+
+    def insert(b):
+        value = ub.value(b) + rng.uniform(-1.0, 0.5)
+        ub.add_point(b, value, expand(m, ub.value, b))
+        if not any(np.array_equal(p.states, b.states)
+                   and np.abs(p.probs - b.probs).sum() <= POINT_DEDUP_L1 for p in live):
+            live.append(b)
+        seen.append(b)
+
+    def sparse_belief(size):
+        states = rng.choice(n, size=size, replace=False)
+        return Belief(n, states, rng.dirichlet(np.ones(size)))
+
+    for op, k in steps:
+        if op == "add" or (op in ("copy", "near") and not seen):
+            insert(sparse_belief(int(rng.integers(2, 4))))
+        elif op == "copy":
+            b = seen[k % len(seen)]
+            insert(Belief(n, b.states.copy(), b.probs.copy()))
+        elif op == "near":
+            b = seen[k % len(seen)]
+            insert(Belief(n, b.states, b.probs * (1.0 + 1e-11 * rng.random(len(b)))))
+        elif op == "remove" and live:
+            ub._remove_interior(k % len(live))
+            del live[k % len(live)]
+        elif op == "prune":
+            prune_upper(m, ub)
+            survivors = iter(live)   # the survivors keep their order
+            assert all(any(b is p for p in survivors) for b in ub._beliefs)
+            live = list(ub._beliefs)
+        assert ub._beliefs == live
+        assert ub.num_points == n + len(live)
+        queries = [sparse_belief(int(rng.integers(2, 5))) for _ in range(3)]
+        queries += [Belief(n, b.states, rng.dirichlet(np.ones(len(b)))) for b in live[-2:]]
+        for q in queries:
+            assert ub.value(q) == pytest.approx(hull_projection(ub.points, q), abs=1e-8)

@@ -33,11 +33,9 @@ def test_solve_zero_reward_model(zero_model_path, tmp_path, capsys):
     code = main(["solve", zero_model_path, "--epsilon", "0.1",
                  "--policy", policy_path, "--trace", trace_path])
     assert code == 0
-    policy = load_policy_file(policy_path)
-    assert len(policy.entries) == 1
-    action, vector = policy.entries[0]
-    assert action == 0
-    np.testing.assert_array_equal(vector, np.zeros(1))
+    lb = load_policy_file(policy_path)
+    assert lb.actions.tolist() == [0]
+    np.testing.assert_array_equal(lb.matrix, np.zeros((1, 1)))
     with open(trace_path) as handle:
         rows = list(csv.reader(handle))
     assert rows[0] == ["trial", "wall_time_s", "lower_b0", "upper_b0", "width",
@@ -88,6 +86,32 @@ def test_evaluate_dimension_mismatch(zero_model_path, tmp_path, capsys):
     policy_path.write_text("alpha-policy v1 |S|=3\n0\n0 0 0\n")
     assert main(["evaluate", zero_model_path, str(policy_path)]) == 1
     assert "|S|" in capsys.readouterr().err
+
+
+def test_evaluate_empty_policy_exits_one(zero_model_path, tmp_path, capsys):
+    policy_path = tmp_path / "p.policy"
+    policy_path.write_text("alpha-policy v1 |S|=1\n")
+    assert main(["evaluate", zero_model_path, str(policy_path)]) == 1
+    assert "error: the policy holds no alpha vector" in capsys.readouterr().err
+
+
+def test_evaluate_zero_episodes_exits_one(zero_model_path, tmp_path, capsys):
+    policy_path = tmp_path / "p.policy"
+    policy_path.write_text("alpha-policy v1 |S|=1\n0\n0\n")
+    assert main(["evaluate", zero_model_path, str(policy_path), "--episodes", "0"]) == 1
+    assert "error: need num_episodes >= 1" in capsys.readouterr().err
+
+
+def test_solve_zero_epsilon_exits_one(zero_model_path, capsys):
+    assert main(["solve", zero_model_path, "--epsilon", "0"]) == 1
+    assert "error: epsilon must be positive" in capsys.readouterr().err
+
+
+def test_gen_rocksample_malformed_cell_exits_one(tmp_path, capsys):
+    out = tmp_path / "rs.pomdp"
+    assert main(["gen-rocksample", "2", "1", str(out), "--rock", "5"]) == 1
+    assert "error: expected a cell X,Y, got '5'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_solve_trace_monotone_on_random_model(tmp_path):

@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 
 from hsvi import fileio
 from hsvi import (
+    AlphaVector,
     Belief,
     EvalConfig,
+    LowerBound,
     ParseError,
-    PolicyFile,
     PomdpModel,
     RockSampleParams,
     SolverConfig,
@@ -22,9 +23,8 @@ from hsvi import (
     evaluate,
     gen_rocksample,
     load_policy,
-    lower_bound_from_policy,
+    load_policy_file,
     parse_pomdp,
-    policy_from_lower_bound,
     save_policy,
     solve_anytime,
     write_pomdp,
@@ -376,50 +376,75 @@ def test_malformed_files_raise_parse_or_validation_errors(text):
 # policy files
 # ---------------------------------------------------------------------------
 
+def _lower_bound(num_states, entries):
+    lb = LowerBound(num_states)
+    for action, vector in entries:
+        lb.add(AlphaVector(vector, action))
+    return lb
+
+
 def test_policy_empty_round_trip():
     sink = io.StringIO()
-    save_policy(PolicyFile(3, []), sink)
+    save_policy(LowerBound(3), sink)
     again = load_policy(sink.getvalue())
     assert again.num_states == 3
-    assert again.entries == []
+    assert len(again) == 0
 
 
 def test_policy_single_vector_round_trip():
     sink = io.StringIO()
-    save_policy(PolicyFile(3, [(0, np.zeros(3))]), sink)
+    save_policy(_lower_bound(3, [(0, np.zeros(3))]), sink)
     again = load_policy(sink.getvalue())
-    assert len(again.entries) == 1
-    action, vector = again.entries[0]
-    assert action == 0
-    np.testing.assert_array_equal(vector, np.zeros(3))
+    assert len(again) == 1
+    assert again.actions.tolist() == [0]
+    np.testing.assert_array_equal(again.matrix, np.zeros((1, 3)))
 
 
 def test_policy_round_trip_exact_floats(rng):
     entries = [(int(rng.integers(5)), rng.normal(size=4) * 10 ** int(rng.integers(-8, 8)))
                for _ in range(6)]
     sink = io.StringIO()
-    save_policy(PolicyFile(4, entries), sink)
+    save_policy(_lower_bound(4, entries), sink)
     again = load_policy(sink.getvalue())
-    for (a1, v1), (a2, v2) in zip(entries, again.entries):
-        assert a1 == a2
-        np.testing.assert_array_equal(v1, v2)
+    assert again.actions.tolist() == [a for a, _ in entries]
+    np.testing.assert_array_equal(again.matrix, np.array([v for _, v in entries]))
+
+
+def test_policy_file_format_is_fixed(tmp_path):
+    text = "alpha-policy v1 |S|=2\n1\n0.10000000000000001 -2\n0\n3 4.5\n"
+    path = tmp_path / "p.policy"
+    path.write_text(text)
+    lb = load_policy_file(str(path))
+    assert lb.actions.tolist() == [1, 0]
+    np.testing.assert_array_equal(lb.matrix, [[0.1, -2.0], [3.0, 4.5]])
+    sink = io.StringIO()
+    save_policy(lb, sink)
+    assert sink.getvalue() == text
 
 
 def test_policy_rejects_malformed():
     with pytest.raises(ParseError):
         load_policy("not a policy\n")
     with pytest.raises(ParseError):
+        load_policy("alpha-policy v1 |S|=0\n")
+    with pytest.raises(ParseError):
         load_policy("alpha-policy v1 |S|=2\n0\n")  # dangling action line
+    with pytest.raises(ParseError, match="line 3: expected 2 numbers"):
+        load_policy("alpha-policy v1 |S|=2\n0\n1 2 3\n")
+    with pytest.raises(ParseError, match="line 4: negative action index -1"):
+        load_policy("alpha-policy v1 |S|=2\n0\n1 2\n-1\n1 2\n")
     with pytest.raises(ValidationError):
-        PolicyFile(2, [(0, np.zeros(3))])
+        load_policy("alpha-policy v1 |S|=2\n0\nnan 2\n")
 
 
 def test_solved_policy_round_trip_same_simulated_reward():
     m = gen_rocksample(RockSampleParams(4, 4))
     res = solve_anytime(m, SolverConfig(epsilon=1e-9, timeout_s=6.0))
     sink = io.StringIO()
-    save_policy(policy_from_lower_bound(res.bounds.lower), sink)
-    reloaded = lower_bound_from_policy(load_policy(sink.getvalue()))
+    save_policy(res.bounds.lower, sink)
+    reloaded = load_policy(sink.getvalue())
+    np.testing.assert_array_equal(reloaded.matrix, res.bounds.lower.matrix)
+    np.testing.assert_array_equal(reloaded.actions, res.bounds.lower.actions)
     cfg = EvalConfig(num_episodes=40, horizon=100, seed=9)
     direct = evaluate(m, res.bounds.lower, cfg)
     roundtrip = evaluate(m, reloaded, cfg)

@@ -12,12 +12,14 @@ from conftest import zero_reward_model
 from hsvi import (
     Belief,
     PomdpModel,
+    RockSampleParams,
     SolverConfig,
     choose_action,
     choose_observation,
     depth_bound,
     expand,
     explore,
+    gen_rocksample,
     init_bounds,
     solve,
     solve_anytime,
@@ -255,6 +257,29 @@ def test_solve_trace_fingerprint(index):
             len(res.bounds.lower)) == (trials, updates, points, vectors)
     assert res.trace.lower_b0[-1] == pytest.approx(lower, abs=1e-12)
     assert res.trace.upper_b0[-1] == pytest.approx(upper, abs=1e-12)
+
+
+def test_anytime_trace_fingerprint_on_sparse_supports(monkeypatch):
+    # RockSample[4,4] beliefs cover few of the 257 states, so unlike the suite
+    # models above this pins the support-subset tests of the upper bound;
+    # the values, prunes included, were taken before the support index
+    prune = bounds_module.prune_upper
+    pruned = []
+
+    def counted(model, ub):
+        before = ub.num_points
+        prune(model, ub)
+        pruned.append(before - ub.num_points)
+        return ub
+
+    monkeypatch.setattr(bounds_module, "prune_upper", counted)
+    m = gen_rocksample(RockSampleParams(4, 4))
+    res = solve_anytime(m, SolverConfig(epsilon=0.01, max_trials=60))
+    assert (res.trace.trial[-1], res.total_updates, res.bounds.upper.num_points,
+            len(res.bounds.lower)) == (60, 353, 396, 222)
+    assert (len(pruned), sum(pruned)) == (5, 20)
+    assert res.trace.lower_b0[-1] == pytest.approx(21.07428399094186, abs=1e-12)
+    assert res.trace.upper_b0[-1] == pytest.approx(21.689516706512762, abs=1e-12)
 
 
 def test_solve_random_models_bracket_exact_value(rng):
