@@ -11,6 +11,13 @@ once): the lower bound gains the gradient-backup vector folded from those
 successors, the upper bound gains the point (b, max_a Q(b,a)) and keeps the
 expansion, whose successors never change, for pruning to re-value. Each set
 is pruned whenever it has grown 10% past its size at the previous pruning.
+
+The upper bound keeps an LP state per support pattern that outlives changes
+to the point set: the pattern's constraint columns and up to BASES_KEPT
+optimal bases with their inverses. A query starts from the last optimal
+basis if it is still feasible, else from the best feasible stored one, else
+from the corners (``lp.projection_lp``). All patterns together hold at most
+STORE_FLOATS numbers; past that, the least recently queried are dropped.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NoConvergence, ValidationError
-from .lp import projection_lp
+from .lp import BasisStore, projection_lp
 from .model import (
     Belief,
     ValueInterval,
@@ -32,6 +39,8 @@ from .model import (
 PRUNE_GROWTH = 1.1
 POINT_DEDUP_L1 = 1e-9
 DOMINATED_SLACK = 1e-9
+BASES_KEPT = 64          # (basis, B⁻¹) pairs kept per support pattern
+STORE_FLOATS = 2 ** 20   # numbers all patterns' LP state may hold (8 MiB)
 
 
 @dataclass(frozen=True)
@@ -95,6 +104,49 @@ class LowerBound:
         self._count = len(keep_indices)
 
 
+class _Pattern:
+    """LP state of one support pattern: the interior points whose support lies
+    inside it, in insertion order, their constraint columns after the
+    pattern's corners, and a BasisStore of that matrix. ``synced`` counts
+    the interior points, in insertion order, already examined."""
+
+    __slots__ = ("states", "picked", "columns", "synced", "store")
+
+    def __init__(self, states):
+        k = states.size
+        self.states = states
+        self.picked = np.empty(0, dtype=np.int64)
+        self.columns = np.eye(k)
+        self.synced = 0
+        # a pattern's inverses take at most an eighth of the budget
+        self.store = BasisStore(k, min(BASES_KEPT, max(1, STORE_FLOATS // (8 * k * k))))
+
+    @property
+    def floats(self):
+        return self.columns.size + self.picked.size + self.store.floats
+
+    def append(self, indices, beliefs):
+        """Add the columns of interior points ``indices`` of ``beliefs``, all
+        later than every point held."""
+        block = np.zeros((self.states.size, indices.size))
+        for j, i in enumerate(indices):
+            block[np.searchsorted(self.states, beliefs[i].states), j] = beliefs[i].probs
+        self.columns = np.hstack([self.columns, block])
+        self.picked = np.concatenate([self.picked, indices])
+
+    def remove(self, index):
+        """Forget interior point ``index`` and renumber the later ones."""
+        if index >= self.synced:
+            return
+        self.synced -= 1
+        p = int(np.searchsorted(self.picked, index))
+        if p < self.picked.size and self.picked[p] == index:
+            self.columns = np.delete(self.columns, self.states.size + p, axis=1)
+            self.picked = np.delete(self.picked, p)
+            self.store.drop_column(self.states.size + p)
+        self.picked[p:] -= 1
+
+
 class UpperBound:
     """Point set over the belief simplex; all corners are present and permanent.
 
@@ -106,14 +158,14 @@ class UpperBound:
     query's support are trivially satisfied, so the projection value is
     unchanged. The same pass finds an inserted belief's possible duplicates,
     the points whose support equals its own.
-    Queries repeat the same support patterns heavily, so each pattern caches
-    the indices of its interior points, their constraint matrix (the
-    contiguous transpose of the point rows, corners first) and the last
-    optimal basis with its inverse; a repeat query then usually costs one
-    product with that inverse and no pivot. The cache is emptied whenever a
-    point is added or removed. Values are not cached: they are read afresh
-    on every query, because ``add_point`` and ``prune_upper`` lower stored
-    values in place.
+    Queries repeat the same support patterns heavily, so each pattern keeps
+    its LP state (``_Pattern``) across changes to the point set. A point
+    inserted since the pattern's last query becomes a new column at its next
+    query, which leaves every stored basis primal feasible; a removed
+    point's column is deleted at once, with the stored bases that use it,
+    and the later columns are renumbered in the others. Values are not
+    kept: they are read afresh on every query, because ``add_point`` and
+    ``prune_upper`` lower stored values in place.
     """
 
     def __init__(self, corner_values):
@@ -127,7 +179,8 @@ class UpperBound:
         self._value_arr = np.empty(0)
         self._supports = np.empty(0, dtype=np.int64)
         self._offsets = np.zeros(1, dtype=np.int64)
-        self._lp_cache = {}
+        self._patterns = {}   # support bytes -> _Pattern, least recently queried first
+        self._held = 0        # numbers the patterns hold
         self.size_at_last_prune = self.num_points
 
     @property
@@ -145,43 +198,43 @@ class UpperBound:
                    for s in range(self.num_states)]
         return corners + self.interior_points
 
-    def _inside(self, b):
-        """Indices, in insertion order, of the interior points whose support
-        lies inside b's."""
+    def _inside(self, states, start=0):
+        """Indices, in insertion order, of the interior points from ``start``
+        on whose support lies inside ``states``."""
+        if start == len(self._beliefs):
+            return np.empty(0, dtype=np.int64)
         inside = np.zeros(self.num_states, dtype=bool)
-        inside[b.states] = True
-        return np.flatnonzero(np.logical_and.reduceat(inside[self._supports],
-                                                      self._offsets[:-1]))
+        inside[states] = True
+        offsets = self._offsets[start:-1]
+        return start + np.flatnonzero(np.logical_and.reduceat(
+            inside[self._supports[offsets[0]:]], offsets - offsets[0]))
 
-    def _lp_pieces(self, b):
-        """(interior indices, constraint matrix, warm state) for b's support."""
+    def _project(self, b):
+        """The hull LP's answer at b, from the LP state of b's support."""
         key = b.states.tobytes()
-        cached = self._lp_cache.get(key)
-        if cached is not None:
-            return cached
-        support = b.states
-        k = support.size
-        picked = self._inside(b)
-        columns = np.zeros((k, k + picked.size))
-        columns[:, :k] = np.eye(k)
-        for j, i in enumerate(picked):
-            point = self._beliefs[i]
-            columns[np.searchsorted(support, point.states), k + j] = point.probs
-        warm = {"basis": None, "inverse": None}
-        self._lp_cache[key] = (picked, columns, warm)
-        return picked, columns, warm
+        pattern = self._patterns.pop(key, None)
+        if pattern is None:
+            pattern = _Pattern(b.states)
+            held = 0
+        else:
+            held = pattern.floats
+        self._patterns[key] = pattern
+        new = self._inside(b.states, pattern.synced)
+        pattern.synced = len(self._beliefs)
+        if new.size:
+            pattern.append(new, self._beliefs)
+        values = np.concatenate([self.corner_values[b.states], self._value_arr[pattern.picked]])
+        solution = projection_lp(pattern.columns.T, values, b.probs, np.arange(b.states.size),
+                                 store=pattern.store)
+        self._held += pattern.floats - held
+        while self._held > STORE_FLOATS and len(self._patterns) > 1:
+            self._held -= self._patterns.pop(next(iter(self._patterns))).floats
+        return solution
 
     def value(self, b):
         if len(b) == 1:
             return float(self.corner_values[b.states[0]])
-        picked, columns, warm = self._lp_pieces(b)
-        k = b.states.size
-        values = np.concatenate([self.corner_values[b.states], self._value_arr[picked]])
-        solution = projection_lp(columns.T, values, b.probs, np.arange(k),
-                                 warm_basis=warm["basis"], warm_inverse=warm["inverse"])
-        warm["basis"] = solution.basis
-        warm["inverse"] = solution.inverse
-        return solution.value
+        return self._project(b).value
 
     def add_point(self, b, value, expansion):
         """Insert (b, value) with its ``expand`` result, folding duplicates.
@@ -198,7 +251,7 @@ class UpperBound:
             if value < self.corner_values[s]:
                 self.corner_values[s] = value
             return
-        for i in self._inside(b):
+        for i in self._inside(b.states):
             # inside b's support and as long: the same support
             point = self._beliefs[i]
             if len(point) == len(b) and np.abs(point.probs - b.probs).sum() <= POINT_DEDUP_L1:
@@ -210,7 +263,6 @@ class UpperBound:
         self._offsets = np.append(self._offsets, self._supports.size)
         self._beliefs.append(b)
         self._expansions.append(expansion)
-        self._lp_cache = {}
 
     def _remove_interior(self, index):
         del self._beliefs[index]
@@ -220,7 +272,10 @@ class UpperBound:
         self._supports = np.delete(self._supports, np.s_[start:end])
         self._offsets = np.delete(self._offsets, index + 1)
         self._offsets[index + 1:] -= end - start
-        self._lp_cache = {}
+        for pattern in self._patterns.values():
+            self._held -= pattern.floats
+            pattern.remove(index)
+            self._held += pattern.floats
 
 
 @dataclass

@@ -477,25 +477,26 @@ def load_policy(source):
     action index included, and ValidationError on a non-finite vector.
     """
     text = source.read() if hasattr(source, "read") else source
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith(POLICY_HEADER_PREFIX):
-        raise ParseError("missing policy header", 1)
-    size = lines[0][len(POLICY_HEADER_PREFIX):].strip()
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not lines or not lines[0][1].startswith(POLICY_HEADER_PREFIX):
+        raise ParseError("missing policy header", lines[0][0] if lines else 1)
+    header_line, header = lines[0]
+    size = header[len(POLICY_HEADER_PREFIX):].strip()
     if not size.isdecimal() or int(size) < 1:
-        raise ParseError("bad |S| in policy header", 1)
+        raise ParseError("bad |S| in policy header", header_line)
     num_states = int(size)
     body = lines[1:]
     if len(body) % 2:
-        raise ParseError("policy file has a dangling action line", len(lines))
+        raise ParseError("policy file has a dangling action line", body[-1][0])
     lb = LowerBound(num_states)
-    for i in range(0, len(body), 2):
+    for (action_line, action_text), (row_line, row) in zip(body[::2], body[1::2]):
         try:
-            action = int(body[i])
+            action = int(action_text)
         except ValueError:
-            raise ParseError(f"bad action index {body[i]!r}", i + 2) from None
+            raise ParseError(f"bad action index {action_text!r}", action_line) from None
         if action < 0:
-            raise ParseError(f"negative action index {action}", i + 2)
-        lb.add(AlphaVector(np.array(_floats(body[i + 1].split(), i + 3, num_states)), action))
+            raise ParseError(f"negative action index {action}", action_line)
+        lb.add(AlphaVector(np.array(_floats(row.split(), row_line, num_states)), action))
     return lb
 
 

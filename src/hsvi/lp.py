@@ -18,15 +18,21 @@ the Harris bound min_i (x_i + PIVOT_TOL) / α_i, so no pivot drives a basic
 weight below −PIVOT_TOL, and ties always break toward the lowest basic index,
 so runs are deterministic.
 
-A start is the caller's warm basis with its inverse if it is still feasible
-for q, then the corner basis. Every answer is checked before it is used:
-after one step of iterative refinement, its weights must be non-negative and
-meet the matching rows to FEAS_TOL, which makes it a sound upper bound even
-where round-off has drifted B⁻¹. An answer that fails the check is pivoted on
-once more from a freshly inverted final basis; if it fails again, or a start
-stalls at the iteration cap, the next start takes over. After the corner
-start, the same LP goes to scipy's HiGHS, whose answer is checked the same
-way.
+A start is a primal feasible basis with its B⁻¹. A caller that queries one
+constraint matrix many times keeps a BasisStore of up to a fixed number of
+earlier optimal bases with their inverses; a new one replaces the oldest.
+A query starts from the store's last answer if that basis is still primal
+feasible for q, else from the feasible stored basis with the lowest
+c_B·B⁻¹q, else from the corner basis. Each candidate is tested with the one
+product B⁻¹q that also gives the start's weights. Every answer is checked
+before it is used: after one step of iterative refinement, its weights must
+be non-negative and meet the matching rows to FEAS_TOL, which makes it a
+sound upper bound even where round-off has drifted B⁻¹. An answer that
+fails the check is pivoted on once more from a freshly inverted final
+basis; if it fails again, or a start stalls at the iteration cap, the next
+start takes over. After the corner start, the same LP goes to scipy's
+HiGHS, whose answer is checked the same way; it has no basis, so the store
+stays as it was.
 """
 
 from __future__ import annotations
@@ -51,10 +57,92 @@ class LpSolution:
     inverse: np.ndarray | None  # B⁻¹ of ``basis``
     iterations: int
     residual: float
+    start: str = "corners"      # "last", "stored", "corners" or "highs": where the answer began
+
+
+class BasisStore:
+    """Optimal bases of one constraint matrix, kept to start its later queries.
+
+    Holds up to ``size`` (basis, B⁻¹) pairs in stacks that double up to that
+    size, and which pair answered last; once full, a new pair replaces the
+    oldest. A pair depends on the columns only, never on the objective, so
+    values may change freely between queries, and appending a column leaves
+    every pair primal feasible where it was. Deleting a column goes through
+    ``drop_column``.
+    """
+
+    def __init__(self, d, size):
+        self.size = size
+        self.bases = np.empty((1, d), dtype=np.int64)
+        self.inverses = np.empty((1, d, d))
+        self.count = 0
+        self.last = -1
+        self.oldest = 0
+
+    @property
+    def floats(self):
+        """Numbers held, bases included."""
+        return self.inverses.size + self.bases.size
+
+    def start(self, q, c):
+        """(pair index, B⁻¹q) of the pair to start from, or (-1, None): the
+        last answer if it is primal feasible for q, else the feasible pair
+        with the lowest c_B·B⁻¹q."""
+        if self.last >= 0:
+            x_basic = self.inverses[self.last] @ q
+            if x_basic.min() >= -PIVOT_TOL:
+                return self.last, x_basic
+        if self.count == 0 or (self.count == 1 and self.last == 0):
+            return -1, None
+        weights = np.matmul(self.inverses[: self.count], q)
+        objective = np.einsum("ij,ij->i", c[self.bases[: self.count]], weights)
+        objective[weights.min(axis=1) < -PIVOT_TOL] = np.inf
+        best = int(objective.argmin())
+        if objective[best] == np.inf:
+            return -1, None
+        return best, weights[best]
+
+    def add(self, basis, inverse):
+        """Keep a new optimal pair, in place of the oldest once full."""
+        if self.count < self.size:
+            if self.count == len(self.bases):
+                grown = min(2 * self.count, self.size)
+                for name in ("bases", "inverses"):
+                    old = getattr(self, name)
+                    new = np.empty((grown,) + old.shape[1:], dtype=old.dtype)
+                    new[: self.count] = old[: self.count]
+                    setattr(self, name, new)
+            index = self.count
+            self.count += 1
+        else:
+            index = self.oldest
+            self.oldest = (index + 1) % self.size
+        self.bases[index] = basis
+        self.inverses[index] = inverse
+        self.last = index
+
+    def drop_column(self, j):
+        """Forget the pairs whose basis holds column j, and renumber the
+        columns after it in the others."""
+        bases = self.bases[: self.count]
+        kept = np.flatnonzero(~(bases == j).any(axis=1))
+        if kept.size < self.count:
+            self.last = int(np.searchsorted(kept, self.last)) if self.last in kept else -1
+            self.count = kept.size
+            self.oldest = 0
+            self.bases[: self.count] = bases[kept]
+            self.inverses[: self.count] = self.inverses[kept]
+            bases = self.bases[: self.count]
+        bases[bases > j] -= 1
 
 
 def _run_simplex(a, c, basis, inverse, x_basic, max_iter):
-    """Optimize in place; returns the number of pivots performed."""
+    """Optimize from a primal feasible basis: (pivots, basis, B⁻¹).
+
+    ``x_basic`` is updated in place. The first pivot copies ``basis`` and
+    ``inverse``, so the caller's arrays are never changed, and an answer
+    without a pivot returns them as they were passed.
+    """
     iterations = 0
     stall = 0
     bland = False
@@ -64,18 +152,21 @@ def _run_simplex(a, c, basis, inverse, x_basic, max_iter):
         if bland:
             negative = np.flatnonzero(reduced < -PIVOT_TOL)
             if negative.size == 0:
-                return iterations
+                return iterations, basis, inverse
             col = int(negative[0])
         else:
             col = int(reduced.argmin())
             if reduced[col] >= -PIVOT_TOL:
-                return iterations
+                return iterations, basis, inverse
         if iterations >= max_iter:
             raise MaxIterations(f"simplex exceeded {max_iter} iterations")
         coeffs = inverse @ a[:, col]
         eligible = np.flatnonzero(coeffs > PIVOT_TOL)
         if eligible.size == 0:
             raise Unbounded("objective unbounded below")
+        if iterations == 0:
+            basis = basis.copy()
+            inverse = inverse.copy()
         # Rows tie when their ratio is within the Harris bound: pivoting on
         # any of them leaves no basic weight below -PIVOT_TOL, however large
         # the other rows' coefficients are.
@@ -120,31 +211,31 @@ def _checked(a, q, c, x_basic, basis, inverse, iterations):
     return LpSolution(float(c[basis] @ weights), x, basis, inverse, iterations, residual)
 
 
-def _from_basis(a, q, c, basis, inverse, max_iter):
-    """Simplex from ``basis`` with B⁻¹ ``inverse``, which is updated in
-    place; None if the basis is not primal feasible, if the pivoting breaks
-    down (MaxIterations / Unbounded) or if its answer fails the check.
+def _from_basis(a, q, c, basis, inverse, x_basic, max_iter):
+    """Simplex from a primal feasible ``basis`` with B⁻¹ ``inverse`` and
+    weights ``x_basic`` = B⁻¹q; None if the pivoting breaks down
+    (MaxIterations / Unbounded) or if its answer fails the check.
 
     An answer that fails the check usually means round-off has drifted B⁻¹
     away from the basis it stands for, so B⁻¹ is refactored once from the
     final basis and the simplex resumes from there.
     """
-    basis = np.array(basis, dtype=np.int64)
     iterations = 0
     for refactored in (False, True):
-        x_basic = inverse @ q
-        if x_basic.min() < -PIVOT_TOL:
-            return None
         try:
-            iterations += _run_simplex(a, c, basis, inverse, x_basic, max_iter)
+            pivots, basis, inverse = _run_simplex(a, c, basis, inverse, x_basic, max_iter)
         except LpFailure:
             return None
+        iterations += pivots
         solution = _checked(a, q, c, x_basic, basis, inverse, iterations)
         if solution is not None or refactored:
             return solution
         try:
             inverse = np.linalg.inv(a[:, basis])
         except np.linalg.LinAlgError:
+            return None
+        x_basic = inverse @ q
+        if x_basic.min() < -PIVOT_TOL:
             return None
 
 
@@ -166,33 +257,46 @@ def _highs(a, q, c):
     residual = float(np.abs(a @ x - q).max())
     if residual > FEAS_TOL:
         raise LpFailure(f"HiGHS fallback weights miss the constraints by {residual:.3g}")
-    return LpSolution(float(c @ x), x, None, None, int(result.nit), residual)
+    return LpSolution(float(c @ x), x, None, None, int(result.nit), residual, "highs")
 
 
-def projection_lp(point_rows, point_values, query_vec, corner_columns,
-                  warm_basis=None, warm_inverse=None):
+def projection_lp(point_rows, point_values, query_vec, corner_columns, store=None):
     """Value of the lower convex hull of (point, value) pairs at ``query_vec``.
 
     ``point_rows`` is (n_points, d) with rows on the d-dimensional probability
     simplex, ``query_vec`` lies on the same simplex, and ``corner_columns[s]``
     is the row holding corner e_s. The constraint matrix is ``point_rows.T``;
     pass the transpose of a C-contiguous (d, n_points) array to avoid a copy.
-    The simplex starts from ``warm_basis`` with its B⁻¹ ``warm_inverse``
-    (both given or neither, e.g. the ``basis`` and ``inverse`` of an earlier
-    solution on the same rows; the inverse is copied, not changed) when it is
-    still feasible, then from the corner basis, and hands the LP to HiGHS if
-    neither start yields a checked answer.
+    The simplex starts from the pair that ``store`` (a BasisStore of these
+    rows, if given) picks, then from the corner basis, and hands the LP to
+    HiGHS if neither start yields a checked answer. The store keeps the
+    answer's basis; an answer a stored pair gave without a pivot shares
+    that pair's arrays.
     """
     a = np.ascontiguousarray(point_rows.T)
     c = np.asarray(point_values, dtype=np.float64)
     d, n = a.shape
     max_iter = 10 * (n + d)
-    if warm_basis is not None:
-        solution = _from_basis(a, query_vec, c, warm_basis, warm_inverse.copy(), max_iter)
-        if solution is not None:
-            return solution
-    solution = _from_basis(a, query_vec, c, corner_columns, np.eye(d), max_iter)
-    return solution if solution is not None else _highs(a, query_vec, c)
+    if store is not None:
+        index, x_basic = store.start(query_vec, c)
+        if index >= 0:
+            inverse = store.inverses[index]
+            solution = _from_basis(a, query_vec, c, store.bases[index], inverse, x_basic,
+                                   max_iter)
+            if solution is not None:
+                solution.start = "last" if index == store.last else "stored"
+                if solution.inverse is inverse:   # no pivot: the pair answered unchanged
+                    store.last = index
+                else:
+                    store.add(solution.basis, solution.inverse)
+                return solution
+    solution = _from_basis(a, query_vec, c, np.asarray(corner_columns, dtype=np.int64),
+                           np.eye(d), np.array(query_vec, dtype=np.float64), max_iter)
+    if solution is None:
+        return _highs(a, query_vec, c)
+    if store is not None:
+        store.add(solution.basis, solution.inverse)
+    return solution
 
 
 def hull_projection(points, query):

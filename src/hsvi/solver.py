@@ -183,8 +183,10 @@ def _trial(model, bounds, b, t, epsilon, t_max, deadline, width):
     choose_observation, and stops at the first node whose
     children are all finished; a child that choose_observation picks is
     unfinished by construction. Then every belief on the path is updated,
-    deepest first, from the expansion the descent made there. A trial cut by
-    the deadline applies no update.
+    deepest first, from the expansion the descent made there. The deadline
+    is checked before each expansion and before each update; a trial cut
+    there keeps, and counts, the updates it has already applied, each of
+    which is sound on its own.
     """
     gamma = model.discount
     target = epsilon if (t == 0 or gamma == 0.0) else epsilon * gamma ** (-t)
@@ -204,7 +206,9 @@ def _trial(model, bounds, b, t, epsilon, t_max, deadline, width):
                 break
             b = branch.posteriors[o_star]
             t += 1
-    for b, expansion in reversed(path):
+    for updates, (b, expansion) in enumerate(reversed(path)):
+        if deadline is not None and time.monotonic() > deadline:
+            return updates, t, True
         apply_update(model, bounds, b, expansion)
     return len(path), t, False
 

@@ -27,6 +27,7 @@ from hsvi import (
     prune_upper,
 )
 from hsvi.bounds import POINT_DEDUP_L1, LowerBound, UpperBound, revalue
+from hsvi.lp import FEAS_TOL
 
 
 def _simple_model(t, o, r, gamma=0.9, b0=None):
@@ -516,3 +517,78 @@ def test_support_index_survives_removal(seed, steps):
         queries += [Belief(n, b.states, rng.dirichlet(np.ones(len(b)))) for b in live[-2:]]
         for q in queries:
             assert ub.value(q) == pytest.approx(hull_projection(ub.points, q), abs=1e-8)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       steps=st.lists(st.sampled_from(["add", "add", "copy", "lower", "remove", "prune"]),
+                      min_size=1, max_size=30))
+def test_basis_stores_survive_insertions_and_removals(seed, steps):
+    # Each support pattern keeps its LP state while points are added (exact
+    # and near copies of live points fold into them), removed by hand and by
+    # prune_upper, and lowered in place. After every step, every stored
+    # basis must be a basis of its pattern's live columns, with its inverse,
+    # so no basis that used a removed point can start a query; and queries
+    # on every pattern must match the hull of the live points, with weights
+    # that meet those points to FEAS_TOL.
+    n = 5
+    patterns = [np.array([0, 1, 2]), np.array([1, 2, 3, 4]), np.array([0, 3])]
+    rng = np.random.default_rng(seed)
+    m = oracles.random_pomdp(rng, n, 2, 2, 0.9)
+    ub = init_upper(m)
+
+    def columns(states, indices):
+        return np.vstack([np.eye(states.size)]
+                         + [ub._beliefs[i].to_dense()[states] for i in indices]).T
+
+    def insert(b, value):
+        ub.add_point(b, value, expand(m, ub.value, b))
+
+    def check_query(states):
+        q = Belief(n, states, rng.dirichlet(np.ones(states.size)))
+        solution = ub._project(q)
+        inside = ub._inside(states)
+        a = columns(states, inside)
+        values = np.concatenate([ub.corner_values[states], ub._value_arr[inside]])
+        expected = oracles.caratheodory_projection(a.T, values, q.probs)
+        assert solution.value == pytest.approx(expected, abs=1e-6)
+        assert solution.x.min() >= -FEAS_TOL
+        assert np.abs(a @ solution.x - q.probs).max() <= FEAS_TOL
+
+    def check_stores():
+        for pattern in ub._patterns.values():
+            seen = ub._inside(pattern.states)
+            seen = seen[seen < pattern.synced]
+            assert np.array_equal(pattern.picked, seen)
+            a = columns(pattern.states, seen)
+            store = pattern.store
+            for basis, inverse in zip(store.bases[: store.count], store.inverses[: store.count]):
+                assert basis.max() < a.shape[1]
+                assert np.abs(inverse @ a[:, basis] - np.eye(basis.size)).max() <= 1e-6
+
+    for op in steps:
+        live = len(ub._beliefs)
+        if op == "add" or (op == "copy" and not live):
+            states = np.sort(rng.choice(patterns[rng.integers(len(patterns))],
+                                        size=2, replace=False))
+            b = Belief(n, states, rng.dirichlet(np.ones(2)))
+            insert(b, ub.value(b) + rng.uniform(-1.0, 0.5))
+        elif op == "copy":
+            i = int(rng.integers(live))
+            b = ub._beliefs[i]
+            near = Belief(n, b.states, b.probs * (1.0 + 1e-11 * rng.random(len(b))))
+            insert(near if rng.random() < 0.5 else b, ub._value_arr[i] + rng.uniform(-0.3, 0.3))
+            assert len(ub._beliefs) == live
+        elif op == "lower":
+            i = int(rng.integers(ub.num_points))
+            if i < n:
+                ub.corner_values[i] -= rng.uniform(0.0, 0.5)
+            else:
+                ub._value_arr[i - n] -= rng.uniform(0.0, 0.5)
+        elif op == "remove" and live:
+            ub._remove_interior(int(rng.integers(live)))
+        elif op == "prune":
+            prune_upper(m, ub)
+        check_stores()
+        for states in patterns:
+            check_query(states)

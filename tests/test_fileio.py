@@ -437,6 +437,20 @@ def test_policy_rejects_malformed():
         load_policy("alpha-policy v1 |S|=2\n0\nnan 2\n")
 
 
+@pytest.mark.parametrize("text, line, message", [
+    ("alpha-policy v1 |S|=2\n\n\n0\nx y\n", 5, "bad number"),
+    ("\nalpha-policy v1 |S|=x\n", 2, "bad |S|"),
+    ("alpha-policy v1 |S|=2\n\n0\n1 2\n\n \nq\n1 2\n", 7, "bad action index"),
+    ("alpha-policy v1 |S|=2\n0\n\n1 2\n\n-2\n1 2\n", 6, "negative action index"),
+    ("alpha-policy v1 |S|=2\n0\n1 2\n\n\n1\n\n", 6, "dangling action line"),
+])
+def test_policy_errors_name_the_original_line(text, line, message):
+    # blank lines count: the error names the line as an editor numbers it
+    with pytest.raises(ParseError, match=message) as err:
+        load_policy(text)
+    assert err.value.line == line
+
+
 def test_solved_policy_round_trip_same_simulated_reward():
     m = gen_rocksample(RockSampleParams(4, 4))
     res = solve_anytime(m, SolverConfig(epsilon=1e-9, timeout_s=6.0))

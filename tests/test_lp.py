@@ -12,10 +12,16 @@ import oracles
 from hsvi import Belief, MaxIterations, ValidationError, hull_projection
 from hsvi import lp as lp_module
 from hsvi.bounds import UpperBound
-from hsvi.lp import FEAS_TOL, projection_lp
+from hsvi.lp import FEAS_TOL, BasisStore, projection_lp
 
 
 DATA = Path(__file__).parent / "data"
+
+
+def _store(basis, inverse):
+    store = BasisStore(len(basis), 1)
+    store.add(basis, inverse)
+    return store
 
 
 def _corner_points(values):
@@ -51,9 +57,10 @@ def test_warm_start_reproduces_solution(rng):
     query = rng.dirichlet(np.ones(3))
     corner = projection_lp(rows, vals, query, corner_columns=np.arange(3))
     warm = projection_lp(rows, vals, query, corner_columns=np.arange(3),
-                         warm_basis=np.asarray(corner.basis), warm_inverse=corner.inverse)
+                         store=_store(corner.basis, corner.inverse))
     assert warm.value == pytest.approx(corner.value, abs=1e-10)
     assert warm.iterations == 0
+    assert warm.start == "last"
 
 
 def _highs_reference(rows, vals, query):
@@ -73,8 +80,8 @@ def test_stalling_lp_falls_back_to_highs():
     lp = np.load(DATA / "rocksample55_stalling_lp.npz")
     rows, vals, query = lp["point_rows"], lp["point_values"], lp["query_vec"]
     sol = projection_lp(rows, vals, query, corner_columns=lp["corner_columns"],
-                        warm_basis=lp["warm_basis"],
-                        warm_inverse=np.linalg.inv(rows.T[:, lp["warm_basis"]]))
+                        store=_store(lp["warm_basis"],
+                                     np.linalg.inv(rows.T[:, lp["warm_basis"]])))
     d = query.size
     reference = linprog(vals, A_eq=np.vstack([rows.T[: d - 1], np.ones(len(vals))]),
                         b_eq=np.append(query[: d - 1], 1.0), bounds=(0, None),
@@ -98,8 +105,8 @@ def test_highs_answers_when_both_starts_fail(monkeypatch, step, failing):
     rows, vals, query = lp["point_rows"], lp["point_values"], lp["query_vec"]
     monkeypatch.setattr(lp_module, step, failing)
     sol = projection_lp(rows, vals, query, corner_columns=lp["corner_columns"],
-                        warm_basis=lp["warm_basis"],
-                        warm_inverse=np.linalg.inv(rows.T[:, lp["warm_basis"]]))
+                        store=_store(lp["warm_basis"],
+                                     np.linalg.inv(rows.T[:, lp["warm_basis"]])))
     assert sol.basis is None and sol.inverse is None
     assert sol.value == pytest.approx(_highs_reference(rows, vals, query), abs=1e-9)
     assert sol.x.min() >= 0.0
@@ -114,8 +121,8 @@ def test_drifted_answer_is_rejected():
     lp = np.load(DATA / "rocksample44_unchecked_lp.npz")
     rows, vals, query = lp["point_rows"], lp["point_values"], lp["query_vec"]
     sol = projection_lp(rows, vals, query, corner_columns=lp["corner_columns"],
-                        warm_basis=lp["warm_basis"],
-                        warm_inverse=np.linalg.inv(rows.T[:, lp["warm_basis"]]))
+                        store=_store(lp["warm_basis"],
+                                     np.linalg.inv(rows.T[:, lp["warm_basis"]])))
     assert sol.value == pytest.approx(_highs_reference(rows, vals, query), abs=1e-9)
     assert sol.x.min() >= -FEAS_TOL
     assert sol.residual <= FEAS_TOL
@@ -203,17 +210,17 @@ def _lowered_query_sequences(draw):
 @settings(max_examples=200, deadline=None, database=None)
 @given(_lowered_query_sequences())
 def test_warm_state_answers_match_caratheodory_as_values_drop(case):
-    # The upper bound keeps a warm basis and inverse per support pattern and
-    # re-reads values on every query, while add_point and prune_upper lower
-    # stored values in place. Both the bound and a kernel handed the previous
-    # answer's warm state must follow those values exactly.
+    # The upper bound keeps a store of bases and inverses per support pattern
+    # and re-reads values on every query, while add_point and prune_upper
+    # lower stored values in place. Both the bound and a kernel that keeps
+    # one store across the queries must follow those values exactly.
     corners, points, steps = case
     ub = UpperBound(corners)
     for point, v in points:
         ub.add_point(Belief.from_dense(point), v, None)
     rows = np.stack([b.to_dense() for b, _ in ub.points])
     d = corners.size
-    basis = inverse = None
+    store = BasisStore(d, 4)
     for lowered, query in steps:
         for index, amount in lowered:
             index %= ub.num_points
@@ -223,9 +230,7 @@ def test_warm_state_answers_match_caratheodory_as_values_drop(case):
                 ub._value_arr[index - d] -= amount
         vals = np.array([v for _, v in ub.points])
         expected = oracles.caratheodory_projection(rows, vals, query)
-        sol = projection_lp(rows, vals, query, np.arange(d),
-                            warm_basis=basis, warm_inverse=inverse)
-        basis, inverse = sol.basis, sol.inverse
+        sol = projection_lp(rows, vals, query, np.arange(d), store=store)
         assert sol.value == pytest.approx(expected, abs=1e-6)
         assert sol.x.min() >= -FEAS_TOL
         assert np.abs(sol.x @ rows - query).max() <= FEAS_TOL

@@ -1,6 +1,7 @@
 """Forward search, heuristics, drivers, and their theoretical guardrails."""
 
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -310,6 +311,30 @@ def test_solve_timeout_returns_partial_result(rng):
     assert res.terminated_by == "timeout"
     assert res.final_width > 0
     assert res.trace.lower_b0[-1] <= res.trace.upper_b0[-1] + 1e-6
+
+
+def test_deadline_cuts_a_trial_between_updates(monkeypatch):
+    # A clock that advances one second per update and stands still
+    # otherwise: with a 2.5 s budget, the first trial's descent finishes and
+    # the deadline passes after its third update, so the trial stops there.
+    # The updates it applied stay applied and are counted.
+    m = oracles.random_pomdp(np.random.default_rng(3), 3, 2, 2, 0.95)
+    now = [0.0]
+    monkeypatch.setattr(solver_module, "time", SimpleNamespace(monotonic=lambda: now[0]))
+    applied = []
+
+    def update(*args):
+        applied.append(args[2])
+        now[0] += 1.0
+        return bounds_module.apply_update(*args)
+
+    monkeypatch.setattr(solver_module, "apply_update", update)
+    res = solve(m, SolverConfig(epsilon=1e-6, timeout_s=2.5))
+    assert res.terminated_by == "timeout"
+    assert res.trace.max_depth[-1] + 1 > 3      # the path was longer than the cut
+    assert len(applied) == res.total_updates == res.trace.updates[-1] == 3
+    assert len(res.trace) == 2
+    assert res.trace.width[-1] < res.trace.width[0]
 
 
 def test_solve_trial_cap(rng):
