@@ -8,7 +8,7 @@ one point, squeezing the interval there and nearby.
 
 import numpy as np
 
-from hsvi import Belief, PomdpModel, expand, init_bounds, local_update
+from hsvi import Belief, PomdpModel, apply_update, expand, init_bounds
 
 rng = np.random.default_rng(7)
 NS, NA, NO = 3, 2, 2
@@ -27,16 +27,16 @@ print(f"  alpha = {np.round(bounds.lower.matrix[0], 3)}, "
 print("fully-observable ceiling (corner values):")
 print(f"  V_MDP = {np.round(bounds.upper.corner_values, 3)}")
 
-interval = bounds.value_interval(b0)
+lower, upper = bounds.lower.value(b0), bounds.upper.value(b0)
 print(f"\ninterval at b0 before any work: "
-      f"[{interval.lower:.3f}, {interval.upper:.3f}] width {interval.width:.3f}")
+      f"[{lower:.3f}, {upper:.3f}] width {upper - lower:.3f}")
 
-print("\nten local updates at b0:")
+print("\nten local updates at b0, each from a fresh upper-bound expansion:")
 for i in range(10):
-    local_update(model, bounds, b0)
-    interval = bounds.value_interval(b0)
-    print(f"  update {i + 1}: [{interval.lower: .4f}, {interval.upper: .4f}]"
-          f"  width {interval.width:.4f}  |vectors|={len(bounds.lower)}"
+    apply_update(model, bounds, b0, expand(model, bounds.upper.value, b0))
+    lower, upper = bounds.lower.value(b0), bounds.upper.value(b0)
+    print(f"  update {i + 1}: [{lower: .4f}, {upper: .4f}]"
+          f"  width {upper - lower:.4f}  |vectors|={len(bounds.lower)}"
           f"  |points|={bounds.upper.num_points}")
 
 print("\naction values against each bound at b0:")

@@ -6,6 +6,11 @@ forward search, and stops when the gap at the initial belief is below the
 requested regret bound. Model parsing, a RockSample benchmark generator, a
 revised-simplex hull LP, and a Monte Carlo policy evaluator round out the
 toolkit.
+
+Each idea has one public path: the upper bound's value is
+``UpperBound.value``, a local update is ``apply_update(model, bounds, b,
+expand(model, bounds.upper.value, b))``, trials run inside ``solve`` and
+``solve_anytime``, and episodes inside ``evaluate``.
 """
 
 from .bounds import (
@@ -13,12 +18,12 @@ from .bounds import (
     BoundsPair,
     LowerBound,
     UpperBound,
+    apply_update,
     backup_lower,
     expand,
     init_bounds,
     init_lower,
     init_upper,
-    local_update,
     mdp_value_iteration,
     prune_lower,
     prune_upper,
@@ -35,7 +40,7 @@ from .errors import (
     ValidationError,
     ZeroProbabilityObservation,
 )
-from .evaluator import EvalConfig, EvalResult, evaluate, policy_action, simulate_episode
+from .evaluator import EvalConfig, EvalResult, evaluate, policy_action
 from .fileio import (
     load_policy,
     load_policy_file,
@@ -44,14 +49,8 @@ from .fileio import (
     save_policy,
     write_pomdp,
 )
-from .lp import LpSolution, hull_projection
-from .model import (
-    Belief,
-    PomdpModel,
-    ValueInterval,
-    belief_update,
-    successor_distributions,
-)
+from .lp import LpSolution
+from .model import Belief, PomdpModel, belief_update, successor_distributions
 from .rocksample import RockSampleParams, gen_rocksample
 from .solver import (
     SolveResult,
@@ -60,7 +59,6 @@ from .solver import (
     choose_action,
     choose_observation,
     depth_bound,
-    explore,
     solve,
     solve_anytime,
     update_bound,

@@ -22,6 +22,7 @@ STORE_FLOATS numbers; past that, the least recently queried are dropped.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -29,12 +30,7 @@ import numpy as np
 
 from .errors import NoConvergence, ValidationError
 from .lp import BasisStore, projection_lp
-from .model import (
-    Belief,
-    ValueInterval,
-    expected_rewards_all_actions,
-    successor_distributions,
-)
+from .model import expected_rewards_all_actions, successor_distributions
 
 PRUNE_GROWTH = 1.1
 POINT_DEDUP_L1 = 1e-9
@@ -191,13 +187,6 @@ class UpperBound:
     def interior_points(self):
         return [(b, float(v)) for b, v in zip(self._beliefs, self._value_arr)]
 
-    @property
-    def points(self):
-        """Every stored point, corners first (state order), then interiors."""
-        corners = [(Belief.point_mass(s, self.num_states), float(self.corner_values[s]))
-                   for s in range(self.num_states)]
-        return corners + self.interior_points
-
     def _inside(self, states, start=0):
         """Indices, in insertion order, of the interior points from ``start``
         on whose support lies inside ``states``."""
@@ -284,9 +273,6 @@ class BoundsPair:
 
     lower: LowerBound
     upper: UpperBound
-
-    def value_interval(self, b):
-        return ValueInterval(self.lower.value(b), self.upper.value(b))
 
 
 # -- initialization ----------------------------------------------------------
@@ -414,26 +400,27 @@ def backup_lower(model, lb, b, expansion):
     return AlphaVector(best_vector, best_action)
 
 
-def local_update(model, bounds, b):
-    """Update both bounds at b from a fresh upper-bound expansion."""
-    return apply_update(model, bounds, b, expand(model, bounds.upper.value, b))
-
-
-def apply_update(model, bounds, b, expansion):
+def apply_update(model, bounds, b, expansion, deadline=None):
     """Update both bounds at b from one upper-bound expansion at b.
 
     The lower bound gains the backup vector folded from the expansion's
     posteriors against the lower bound as it stands now; the upper bound
     gains the point (b, max Q of the expansion) and keeps the expansion. The
     search passes the expansion its descent made, so no successor is
-    computed twice.
+    computed twice; a fresh update at b is
+    ``apply_update(model, bounds, b, expand(model, bounds.upper.value, b))``.
+    A pruning pass this update starts ends at ``deadline`` (a
+    ``time.monotonic()`` value), if one is given.
     """
     bounds.lower.add(backup_lower(model, bounds.lower, b, expansion))
     if len(bounds.lower) >= PRUNE_GROWTH * bounds.lower.size_at_last_prune:
         prune_lower(bounds.lower)
     bounds.upper.add_point(b, max(branch.q for branch in expansion), expansion)
     if bounds.upper.num_points >= PRUNE_GROWTH * bounds.upper.size_at_last_prune:
-        prune_upper(model, bounds.upper)
+        if deadline is None:   # the two-argument call, which wrappers of the prune may expect
+            prune_upper(model, bounds.upper)
+        else:
+            prune_upper(model, bounds.upper, deadline)
     return bounds
 
 
@@ -458,7 +445,7 @@ def prune_lower(lb):
     return lb
 
 
-def prune_upper(model, ub):
+def prune_upper(model, ub, deadline=None):
     """Drop or refresh interior points dominated by their own Bellman value.
 
     Points strictly above the hull at their own belief are dominated (the
@@ -471,9 +458,16 @@ def prune_upper(model, ub):
     moves down. Points are processed in insertion order against the live set
     (which always contains the point under test). A Bellman value is the
     point's stored expansion re-valued, so pruning runs no belief kernel.
+
+    Each removal and each refresh is sound on its own, so a pass may stop
+    anywhere: once ``time.monotonic()`` passes ``deadline``, it ends before
+    the next point, the points it has not reached keep their values, and
+    the size at the last pruning is left as it was.
     """
     index = 0
     while index < len(ub._beliefs):
+        if deadline is not None and time.monotonic() > deadline:
+            return ub
         b = ub._beliefs[index]
         v = float(ub._value_arr[index])
         if ub.value(b) < v - DOMINATED_SLACK:

@@ -83,16 +83,6 @@ def _run_episode(model, lb, config, rng, absorbing):
     return total
 
 
-def simulate_episode(model, lb, config, episode_seed):
-    """Discounted return of one episode, fully determined by (model, lb, seed).
-
-    Raises ZeroProbabilityObservation on numerical belief collapse; evaluate()
-    handles retries.
-    """
-    rng = np.random.default_rng(episode_seed)
-    return _run_episode(model, lb, config, rng, model.absorbing_zero_reward_states())
-
-
 def _run_episodes(model, lb, config):
     absorbing = model.absorbing_zero_reward_states()
     returns = np.empty(config.num_episodes)

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LpFailure, MaxIterations, Unbounded, ValidationError
+from .errors import LpFailure, MaxIterations, Unbounded
 
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
@@ -298,23 +298,3 @@ def projection_lp(point_rows, point_values, query_vec, corner_columns, store=Non
         store.add(solution.basis, solution.inverse)
     return solution
 
-
-def hull_projection(points, query):
-    """Upper-bound value at ``query``: projection onto the hull of the point set.
-
-    ``points`` is a sequence of (Belief, value) pairs that must include every
-    simplex corner (that is what makes the projection feasible for any query).
-    Returns min Σ λ_i v_i subject to Σ λ_i b_i = query, λ ≥ 0.
-    """
-    num_states = query.num_states
-    rows = np.empty((len(points), num_states))
-    values = np.empty(len(points))
-    corner_columns = np.full(num_states, -1, dtype=np.int64)
-    for i, (belief, value) in enumerate(points):
-        rows[i] = belief.to_dense()
-        values[i] = value
-        if len(belief) == 1 and corner_columns[belief.states[0]] < 0:
-            corner_columns[int(belief.states[0])] = i
-    if corner_columns.min() < 0:
-        raise ValidationError("hull projection needs every simplex corner in the point set")
-    return projection_lp(rows, values, query.to_dense(), corner_columns).value

@@ -11,8 +11,6 @@ pure, so instances can be shared freely across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import sparse
 
@@ -110,18 +108,6 @@ class Belief:
     def __repr__(self):
         pairs = ", ".join(f"{s}:{p:.4g}" for s, p in zip(self.states, self.probs))
         return f"Belief({pairs})"
-
-
-@dataclass(frozen=True)
-class ValueInterval:
-    """Two-sided enclosure of an (unknown) optimal value at one belief."""
-
-    lower: float
-    upper: float
-
-    @property
-    def width(self):
-        return self.upper - self.lower
 
 
 def _as_sparse_actions(tensor, num_actions, shape):

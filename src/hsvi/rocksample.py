@@ -14,7 +14,8 @@ terminal state is the last index. Actions are
 [North, South, East, West, Sample, Check_1 .. Check_k]; observations are
 [Good, Bad]. Actions that carry no sensor reading (moves, Sample) emit an
 uninformative 50/50 observation so every observation has positive
-probability. The discount is fixed at 0.95.
+probability. The discount (0.95) and the rewards (exit +10, sample +10 on a
+good rock and -10 otherwise) are fixed.
 """
 
 from __future__ import annotations
@@ -29,6 +30,9 @@ from .model import Belief, PomdpModel
 
 GOOD, BAD = 0, 1
 DISCOUNT = 0.95
+SAMPLE_GOOD_REWARD = 10.0
+SAMPLE_BAD_PENALTY = -10.0
+EXIT_REWARD = 10.0
 
 
 @dataclass
@@ -43,9 +47,6 @@ class RockSampleParams:
     rock_positions: list = None
     rover_start: tuple = None
     half_efficiency_distance: float = 20.0
-    sample_good_reward: float = 10.0
-    sample_bad_penalty: float = -10.0
-    exit_reward: float = 10.0
     layout_seed: int = 0
 
     def resolved(self):
@@ -74,10 +75,8 @@ class RockSampleParams:
         start = (int(start[0]), int(start[1]))
         if not (0 <= start[0] < n and 0 <= start[1] < n):
             raise InvalidParams(f"rover start {start} is outside the grid")
-        return RockSampleParams(
-            n, k, rocks, start, self.half_efficiency_distance,
-            self.sample_good_reward, self.sample_bad_penalty,
-            self.exit_reward, self.layout_seed)
+        return RockSampleParams(n, k, rocks, start, self.half_efficiency_distance,
+                                self.layout_seed)
 
 
 def gen_rocksample(params):
@@ -119,19 +118,19 @@ def gen_rocksample(params):
             rows, cols = motion(new_pos)
             exiting = (rows // combos) % n == n - 1
             cols = np.where(exiting, terminal, cols)
-            reward[a, sid[x == n - 1].ravel()] = params.exit_reward
+            reward[a, sid[x == n - 1].ravel()] = EXIT_REWARD
         elif a == 3:  # West
             rows, cols = motion(np.where(x > 0, pos - 1, pos))
         elif a == 4:  # Sample the rock under the rover (penalized no-op off-rock)
             rows = sid.ravel()
             cols = rows.copy()
-            reward[a, : terminal] = params.sample_bad_penalty
+            reward[a, : terminal] = SAMPLE_BAD_PENALTY
             for cell in np.flatnonzero(rock_at >= 0):
                 i = rock_at[cell]
                 good = (bits >> i) & 1 == 1
                 here = sid[cell]
-                reward[a, here[good]] = params.sample_good_reward
-                reward[a, here[~good]] = params.sample_bad_penalty
+                reward[a, here[good]] = SAMPLE_GOOD_REWARD
+                reward[a, here[~good]] = SAMPLE_BAD_PENALTY
                 # a sampled good rock turns bad
                 sel = np.isin(rows, here[good])
                 cols = np.where(sel, rows & ~np.int64(1 << i), cols)

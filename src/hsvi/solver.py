@@ -27,6 +27,7 @@ from .errors import DepthCapExceeded, InvalidParams
 
 DEPTH_MARGIN = 2          # slack past the theoretical cap before declaring a bug
 MACHINE_WIDTH = 1e-9      # anytime stops once the gap is numerically closed
+ZETA = 0.95               # the paper's anytime factor: a trial aims at ZETA * width(b0)
 
 log = logging.getLogger(__name__)
 
@@ -35,10 +36,13 @@ log = logging.getLogger(__name__)
 class SolverConfig:
     """Knobs for solve / solve_anytime.
 
-    epsilon            target regret bound (anytime: final target).
-    zeta               anytime tightening factor: each trial aims at
-                       zeta * current width at the initial belief.
-    timeout_s          wall-clock budget; None means unbounded.
+    epsilon            target regret bound. solve aims every trial at it;
+                       solve_anytime aims each trial at ZETA times the
+                       current width at the initial belief and stops once
+                       the width is within epsilon.
+    timeout_s          wall-clock budget; None means unbounded. The deadline
+                       is checked before each expansion, each update and
+                       each point of a pruning pass.
     max_trials         cap on top-level trials; None means unbounded.
     audit_num_beliefs  number of fixed random beliefs whose bound values are
                        recorded every trial (invariant checking).
@@ -46,7 +50,6 @@ class SolverConfig:
     """
 
     epsilon: float = 1e-3
-    zeta: float = 0.95
     timeout_s: float | None = None
     max_trials: int | None = None
     audit_num_beliefs: int = 0
@@ -55,8 +58,6 @@ class SolverConfig:
     def __post_init__(self):
         if not self.epsilon > 0.0:
             raise InvalidParams("epsilon must be positive")
-        if not 0.0 < self.zeta < 1.0:
-            raise InvalidParams("zeta must lie in (0, 1)")
 
 
 @dataclass
@@ -175,7 +176,8 @@ def choose_observation(model, bounds, branch, epsilon, t):
 
 
 def _trial(model, bounds, b, t, epsilon, t_max, deadline, width):
-    """One trial from belief b at depth t: (updates, deepest depth, timed out).
+    """The paper's explore(b, epsilon, t), from belief b at depth t:
+    (updates, deepest depth, timed out).
 
     ``width`` is the current gap between the bounds at b; the trial does
     nothing when it is within the target. The descent expands each belief
@@ -184,9 +186,9 @@ def _trial(model, bounds, b, t, epsilon, t_max, deadline, width):
     children are all finished; a child that choose_observation picks is
     unfinished by construction. Then every belief on the path is updated,
     deepest first, from the expansion the descent made there. The deadline
-    is checked before each expansion and before each update; a trial cut
-    there keeps, and counts, the updates it has already applied, each of
-    which is sound on its own.
+    is checked before each expansion and before each update, and a pruning
+    pass an update starts ends at it; a trial cut there keeps, and counts,
+    the updates it has already applied, each of which is sound on its own.
     """
     gamma = model.discount
     target = epsilon if (t == 0 or gamma == 0.0) else epsilon * gamma ** (-t)
@@ -209,7 +211,7 @@ def _trial(model, bounds, b, t, epsilon, t_max, deadline, width):
     for updates, (b, expansion) in enumerate(reversed(path)):
         if deadline is not None and time.monotonic() > deadline:
             return updates, t, True
-        apply_update(model, bounds, b, expansion)
+        apply_update(model, bounds, b, expansion, deadline)
     return len(path), t, False
 
 
@@ -230,7 +232,7 @@ def solve(model, config):
 
 
 def solve_anytime(model, config):
-    """Anytime variant: each trial aims at zeta times the current width at the
+    """Anytime variant: each trial aims at ZETA times the current width at the
     initial belief, so interrupting at any point yields a policy whose regret
     is bounded by that width."""
     return _drive(model, config, anytime=True)
@@ -285,7 +287,7 @@ def _drive(model, config, anytime):
         if deadline is not None and time.monotonic() > deadline:
             terminated_by = "timeout"
             break
-        trial_epsilon = max(config.zeta * width, MACHINE_WIDTH) if anytime else config.epsilon
+        trial_epsilon = max(ZETA * width, MACHINE_WIDTH) if anytime else config.epsilon
         t_max = depth_bound(trial_epsilon, gap0, gamma)
         updates, depth, timed_out = _trial(model, bounds, b0, 0, trial_epsilon, t_max,
                                            deadline, width)
@@ -315,15 +317,3 @@ def _drive(model, config, anytime):
         audit_beliefs=audit_beliefs,
     )
 
-
-def explore(model, bounds, b, epsilon, t):
-    """Single exploration pass from b at depth t against the given bounds.
-
-    Standalone entry point; the depth cap is derived from the current bounds'
-    sup-norm gap the same way the drivers derive it from the initial gap.
-    """
-    gap = float(bounds.upper.corner_values.max() - bounds.lower.matrix.min(axis=1).max())
-    t_max = depth_bound(epsilon, gap, model.discount)
-    width = bounds.upper.value(b) - bounds.lower.value(b)
-    _trial(model, bounds, b, t, epsilon, t_max + t, None, width)
-    return bounds

@@ -111,6 +111,30 @@ def caratheodory_projection(point_rows, values, query, tol=1e-9):
     return best
 
 
+def upper_points(upper):
+    """(rows, values) of every point of an UpperBound, corners first: its
+    corner_values at the unit rows, then its interior_points."""
+    interior = upper.interior_points
+    rows = np.vstack([np.eye(upper.num_states)] + [b.to_dense() for b, _ in interior])
+    values = np.concatenate([upper.corner_values, [v for _, v in interior]])
+    return rows, values
+
+
+def highs_upper_value(upper, belief):
+    """Hull projection at ``belief`` over every point of an UpperBound, by
+    scipy's HiGHS: one matching row per state and the row Σ λ = 1, as
+    perfbench's check against HiGHS builds the LP."""
+    from scipy.optimize import linprog
+
+    rows, values = upper_points(upper)
+    result = linprog(values, A_eq=np.vstack([rows.T, np.ones(len(values))]),
+                     b_eq=np.append(belief.to_dense(), 1.0), bounds=(0, None),
+                     method="highs", options={"primal_feasibility_tolerance": 1e-10,
+                                              "dual_feasibility_tolerance": 1e-10})
+    assert result.status == 0, result.message
+    return float(result.fun)
+
+
 def enumerate_basic_solutions(c, a, b, tol=1e-9):
     """Optimal value of min c.x, Ax=b, x>=0 over all vertex bases."""
     m, n = a.shape

@@ -1,6 +1,6 @@
 """Bound representations, initialization, backups, updates, pruning."""
 
-import functools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,20 +14,24 @@ from hsvi import (
     Belief,
     PomdpModel,
     RockSampleParams,
+    apply_update,
     backup_lower,
     expand,
     gen_rocksample,
-    hull_projection,
     init_bounds,
     init_lower,
     init_upper,
-    local_update,
     mdp_value_iteration,
     prune_lower,
     prune_upper,
 )
 from hsvi.bounds import POINT_DEDUP_L1, LowerBound, UpperBound, revalue
 from hsvi.lp import FEAS_TOL
+
+
+def _update(m, bounds, b):
+    """A local update at b from a fresh upper-bound expansion."""
+    apply_update(m, bounds, b, expand(m, bounds.upper.value, b))
 
 
 def _simple_model(t, o, r, gamma=0.9, b0=None):
@@ -134,7 +138,7 @@ def test_upper_value_matches_full_hull_on_sparse_support(rng):
     for query in (Belief(4, [0, 1], [0.25, 0.75]),
                   Belief(4, [0, 1, 2], [0.4, 0.3, 0.3]),
                   Belief.from_dense(rng.dirichlet(np.ones(4)))):
-        full = hull_projection(ub.points, query)
+        full = oracles.highs_upper_value(ub, query)
         assert ub.value(query) == pytest.approx(full, abs=1e-8)
 
 
@@ -186,7 +190,7 @@ def test_q_value_lower_matches_naive_expansion(rng):
     t, o, r = oracles.dense_tensors(m)
     bounds = init_bounds(m)
     for i in range(4):  # grow the vector set a little
-        local_update(m, bounds, Belief.from_dense(rng.dirichlet(np.ones(3))))
+        _update(m, bounds, Belief.from_dense(rng.dirichlet(np.ones(3))))
     vectors = [row.copy() for row in bounds.lower.matrix]
     value_fn = lambda dense: oracles.lower_value_naive(vectors, dense)
     for _ in range(10):
@@ -203,9 +207,8 @@ def test_expand_upper_matches_naive_with_one_kernel_pass_per_action(rng, monkeyp
     t, o, r = oracles.dense_tensors(m)
     bounds = init_bounds(m)
     for _ in range(4):
-        local_update(m, bounds, Belief.from_dense(rng.dirichlet(np.ones(3))))
-    rows = np.stack([p.to_dense() for p, _ in bounds.upper.points])
-    vals = np.array([v for _, v in bounds.upper.points])
+        _update(m, bounds, Belief.from_dense(rng.dirichlet(np.ones(3))))
+    rows, vals = oracles.upper_points(bounds.upper)
     upper_fn = lambda dense: oracles.caratheodory_projection(rows, vals, dense)
     kernel_calls = []
     original = bounds_module.successor_distributions
@@ -279,7 +282,7 @@ def test_update_at_converged_corner_changes_nothing():
     bounds = init_bounds(m)
     corner = Belief.point_mass(0, 2)
     before = bounds.upper.value(corner)
-    local_update(m, bounds, corner)
+    _update(m, bounds, corner)
     assert bounds.upper.value(corner) == pytest.approx(before, abs=1e-6)
 
 
@@ -293,9 +296,9 @@ def test_update_twice_is_idempotent_at_belief():
     m = _simple_model(t, o, [[1.0, 0.0]], gamma=0.9, b0=Belief.point_mass(0, 2))
     bounds = init_bounds(m)
     b = m.initial_belief
-    local_update(m, bounds, b)
+    _update(m, bounds, b)
     lower_after, upper_after = bounds.lower.value(b), bounds.upper.value(b)
-    local_update(m, bounds, b)
+    _update(m, bounds, b)
     assert bounds.lower.value(b) == pytest.approx(lower_after, abs=1e-9)
     assert bounds.upper.value(b) == pytest.approx(upper_after, abs=1e-9)
 
@@ -319,7 +322,7 @@ def test_update_shrinks_width_and_matches_bellman(rng):
     h_upper = max(oracles.q_value_naive(t, o, r, 0.9, upper_fn, b.to_dense(), a)
                   for a in range(2))
 
-    local_update(m, bounds, b)
+    _update(m, bounds, b)
     assert bounds.lower.value(b) == pytest.approx(max(pre_lower, h_lower), abs=1e-9)
     # pruning may legitimately tighten the point further, never loosen it
     assert bounds.upper.value(b) <= min(pre_upper, h_upper) + 1e-6
@@ -334,7 +337,7 @@ def test_updates_preserve_monotone_evolution(rng):
     lows = np.array([bounds.lower.value(b) for b in audits])
     highs = np.array([bounds.upper.value(b) for b in audits])
     for _ in range(30):
-        local_update(m, bounds, Belief.from_dense(rng.dirichlet(np.ones(3))))
+        _update(m, bounds, Belief.from_dense(rng.dirichlet(np.ones(3))))
         new_lows = np.array([bounds.lower.value(b) for b in audits])
         new_highs = np.array([bounds.upper.value(b) for b in audits])
         assert np.all(new_lows >= lows - 1e-9)
@@ -347,7 +350,7 @@ def test_updates_preserve_uniform_improvability(rng):
     m = oracles.random_pomdp(rng, 3, 2, 2, 0.9)
     bounds = init_bounds(m)
     for _ in range(20):
-        local_update(m, bounds, Belief.from_dense(rng.dirichlet(np.ones(3))))
+        _update(m, bounds, Belief.from_dense(rng.dirichlet(np.ones(3))))
     # lower: one-step lookahead only improves
     for _ in range(10):
         b = Belief.from_dense(rng.dirichlet(np.ones(3)))
@@ -362,8 +365,8 @@ def test_bounds_sandwich_exact_value(rng):
     m = oracles.random_pomdp(rng, 3, 2, 2, 0.9)
     bounds = init_bounds(m)
     for _ in range(40):
-        local_update(m, bounds, m.initial_belief)
-        local_update(m, bounds, Belief.from_dense(rng.dirichlet(np.ones(3))))
+        _update(m, bounds, m.initial_belief)
+        _update(m, bounds, Belief.from_dense(rng.dirichlet(np.ones(3))))
     lo, hi = oracles.exact_value_interval(m, tol=1e-3)
     assert bounds.lower.value(m.initial_belief) <= hi + 1e-6
     assert bounds.upper.value(m.initial_belief) >= lo - 1e-6
@@ -411,7 +414,7 @@ def test_prune_upper_removes_stale_points_without_raising_bound(rng):
         # exactly on the current hull, with the expansion an update would store
         ub.add_point(b, float(ub.value(b)), expand(m, ub.value, b))
     for b in beliefs[:6]:
-        local_update(m, bounds, b)
+        _update(m, bounds, b)
     audits = [Belief.from_dense(rng.dirichlet(np.ones(3))) for _ in range(40)]
     before = [ub.value(b) for b in audits]
     count_before = ub.num_points
@@ -435,6 +438,38 @@ def test_prune_upper_keeps_corners(rng):
     assert np.all(ub.corner_values <= corners_before + 1e-12)
 
 
+def test_prune_upper_stops_at_deadline(rng, monkeypatch):
+    # A clock that advances one second each time it is read: with a 2.5 s
+    # deadline the pass examines three points, removing or refreshing each,
+    # and ends before the fourth. The points it did not reach are the same
+    # points with the same values, the pass is not counted as a pruning, and
+    # the bound has only moved down.
+    import hsvi.bounds as bounds_module
+
+    m = oracles.random_pomdp(rng, 3, 2, 2, 0.9)
+    ub = init_upper(m)
+    for _ in range(12):
+        b = Belief.from_dense(rng.dirichlet(np.ones(3)))
+        ub.add_point(b, float(ub.value(b)), expand(m, ub.value, b))
+    points_before = list(zip(ub._beliefs, ub._value_arr.tolist()))
+    size_before = ub.size_at_last_prune
+    audits = [Belief.from_dense(rng.dirichlet(np.ones(3))) for _ in range(40)]
+    values_before = [ub.value(b) for b in audits]
+
+    ticks = iter(range(100))
+    monkeypatch.setattr(bounds_module, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
+    prune_upper(m, ub, deadline=2.5)
+    assert next(ticks) == 4
+    removed = len(points_before) - len(ub._beliefs)
+    unreached = list(zip(ub._beliefs, ub._value_arr.tolist()))[3 - removed:]
+    assert len(unreached) == len(points_before) - 3
+    for (b, v), (b_before, v_before) in zip(unreached, points_before[3:]):
+        assert b is b_before and v == v_before
+    assert ub.size_at_last_prune == size_before
+    for value, before in zip([ub.value(b) for b in audits], values_before):
+        assert value <= before + 1e-9
+
+
 @settings(max_examples=60, deadline=None, database=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), num_states=st.integers(2, 4),
        num_actions=st.integers(1, 3), num_observations=st.integers(1, 3),
@@ -455,11 +490,11 @@ def test_stored_expansion_revalues_like_a_fresh_expansion(seed, num_states, num_
             Belief.point_mass(0, num_states)]
     bounds = init_bounds(m)
     for index in visits:
-        local_update(m, bounds, pool[index])
+        _update(m, bounds, pool[index])
     ub = bounds.upper
-    # a cold LP over a frozen copy of the points is a pure value function;
-    # the bound's own LP warm-starts from its previous query
-    value = functools.partial(hull_projection, ub.points)
+    # the lower bound, no longer updated, is a pure value function; the upper
+    # bound's own LP starts from the bases its earlier queries left
+    value = bounds.lower.value
     assert len(ub._expansions) == ub.num_points - num_states
     for b, expansion in zip(ub._beliefs, ub._expansions):
         fresh = max(branch.q for branch in expand(m, value, b))
@@ -516,7 +551,7 @@ def test_support_index_survives_removal(seed, steps):
         queries = [sparse_belief(int(rng.integers(2, 5))) for _ in range(3)]
         queries += [Belief(n, b.states, rng.dirichlet(np.ones(len(b)))) for b in live[-2:]]
         for q in queries:
-            assert ub.value(q) == pytest.approx(hull_projection(ub.points, q), abs=1e-8)
+            assert ub.value(q) == pytest.approx(oracles.highs_upper_value(ub, q), abs=1e-8)
 
 
 @settings(max_examples=40, deadline=None, database=None)

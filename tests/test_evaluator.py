@@ -14,7 +14,6 @@ from hsvi import (
     evaluate,
     init_lower,
     policy_action,
-    simulate_episode,
     solve,
 )
 from hsvi.bounds import LowerBound
@@ -85,35 +84,34 @@ def test_policy_action_near_greedy_on_solved_model(rng):
 
 
 # ---------------------------------------------------------------------------
-# simulate_episode
+# one episode
 # ---------------------------------------------------------------------------
+
+def _episode(m, lb, horizon, seed):
+    """Return of the one episode of an evaluation."""
+    return evaluate(m, lb, EvalConfig(num_episodes=1, horizon=horizon, seed=seed)).returns[0]
+
 
 def test_simulate_zero_reward_model():
     m = zero_reward_model()
-    lb = init_lower(m)
-    assert simulate_episode(m, lb, EvalConfig(num_episodes=1, horizon=50), 7) == 0.0
+    assert _episode(m, init_lower(m), 50, 7) == 0.0
 
 
 def test_simulate_single_state_geometric_sum():
     m = _one_state_model()
-    lb = init_lower(m)
     expected = (1 - 0.95 ** 251) / 0.05
-    got = simulate_episode(m, lb, EvalConfig(num_episodes=1, horizon=251), 3)
-    assert got == pytest.approx(expected, rel=1e-12)
+    assert _episode(m, init_lower(m), 251, 3) == pytest.approx(expected, rel=1e-12)
 
 
 def test_simulate_hand_traced_chain():
     m = _chain_model()
-    value = simulate_episode(m, _advance_policy(), EvalConfig(num_episodes=1, horizon=251), 0)
+    value = _episode(m, _advance_policy(), 251, 0)
     assert value == pytest.approx(2.0 + 0.9 * 5.0, abs=1e-12)
 
 
 def test_simulate_deterministic_in_seed():
     m = _chain_model()
-    cfg = EvalConfig(num_episodes=1, horizon=50, seed=0)
-    a = simulate_episode(m, _advance_policy(), cfg, 123)
-    b = simulate_episode(m, _advance_policy(), cfg, 123)
-    assert a == b
+    assert _episode(m, _advance_policy(), 50, 123) == _episode(m, _advance_policy(), 50, 123)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Simplex kernel and hull projection against enumeration oracles."""
+"""Simplex kernel and the upper bound's hull projection against enumeration
+oracles."""
 
 from pathlib import Path
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 import oracles
-from hsvi import Belief, MaxIterations, ValidationError, hull_projection
+from hsvi import Belief, MaxIterations
 from hsvi import lp as lp_module
 from hsvi.bounds import UpperBound
 from hsvi.lp import FEAS_TOL, BasisStore, projection_lp
@@ -24,9 +25,18 @@ def _store(basis, inverse):
     return store
 
 
-def _corner_points(values):
-    n = len(values)
-    return [(Belief.point_mass(s, n), values[s]) for s in range(n)]
+def _upper(corner_values, interior=()):
+    """An UpperBound over ``corner_values`` holding the (Belief, value) points
+    ``interior``."""
+    ub = UpperBound(np.asarray(corner_values, dtype=float))
+    for b, v in interior:
+        ub.add_point(b, v, None)
+    return ub
+
+
+def _random_interior(rng, n, count, low, high):
+    return [(Belief.from_dense(rng.dirichlet(np.ones(n))), float(rng.uniform(low, high)))
+            for _ in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +228,7 @@ def test_warm_state_answers_match_caratheodory_as_values_drop(case):
     ub = UpperBound(corners)
     for point, v in points:
         ub.add_point(Belief.from_dense(point), v, None)
-    rows = np.stack([b.to_dense() for b, _ in ub.points])
+    rows, _ = oracles.upper_points(ub)
     d = corners.size
     store = BasisStore(d, 4)
     for lowered, query in steps:
@@ -228,7 +238,7 @@ def test_warm_state_answers_match_caratheodory_as_values_drop(case):
                 ub.corner_values[index] -= amount
             else:
                 ub._value_arr[index - d] -= amount
-        vals = np.array([v for _, v in ub.points])
+        _, vals = oracles.upper_points(ub)
         expected = oracles.caratheodory_projection(rows, vals, query)
         sol = projection_lp(rows, vals, query, np.arange(d), store=store)
         assert sol.value == pytest.approx(expected, abs=1e-6)
@@ -238,80 +248,64 @@ def test_warm_state_answers_match_caratheodory_as_values_drop(case):
 
 
 # ---------------------------------------------------------------------------
-# hull_projection
+# UpperBound.value
 # ---------------------------------------------------------------------------
 
 def test_query_at_stored_point_with_others_above():
-    pts = _corner_points([10.0, 10.0])
     interior = Belief(2, [0, 1], [0.5, 0.5])
-    pts.append((interior, 2.0))
-    assert hull_projection(pts, interior) == pytest.approx(2.0)
-
-
-def test_missing_corner_is_rejected():
-    pts = _corner_points([1.0, 2.0, 3.0])[:2] + [(Belief.uniform(3), 0.0)]
-    with pytest.raises(ValidationError):
-        hull_projection(pts, Belief.uniform(3))
+    assert _upper([10.0, 10.0], [(interior, 2.0)]).value(interior) == pytest.approx(2.0)
 
 
 def test_two_state_linear_interpolation():
-    pts = _corner_points([0.0, 1.0])
     q = Belief(2, [0, 1], [0.5, 0.5])
-    assert hull_projection(pts, q) == pytest.approx(0.5)
+    assert _upper([0.0, 1.0]).value(q) == pytest.approx(0.5)
 
 
 def test_matches_caratheodory_enumeration(rng):
-    corners = _corner_points(list(rng.uniform(0, 5, size=3)))
-    interior = [(Belief.from_dense(rng.dirichlet(np.ones(3))), float(rng.uniform(-2, 5)))
-                for _ in range(6)]
-    pts = corners + interior
-    rows = np.stack([b.to_dense() for b, _ in pts])
-    vals = np.array([v for _, v in pts])
+    ub = _upper(rng.uniform(0, 5, size=3), _random_interior(rng, 3, 6, -2, 5))
+    rows, vals = oracles.upper_points(ub)
     for _ in range(100):
         q = Belief.from_dense(rng.dirichlet(np.ones(3)))
         expected = oracles.caratheodory_projection(rows, vals, q.to_dense())
-        assert hull_projection(pts, q) == pytest.approx(expected, abs=1e-6)
+        assert ub.value(q) == pytest.approx(expected, abs=1e-6)
 
 
 def test_hull_never_above_stored_point(rng):
-    corners = _corner_points(list(rng.uniform(0, 5, size=4)))
-    pts = corners + [(Belief.from_dense(rng.dirichlet(np.ones(4))), float(rng.uniform(-1, 5)))
-                     for _ in range(5)]
-    for b, v in pts:
-        assert hull_projection(pts, b) <= v + 1e-9
+    corners = rng.uniform(0, 5, size=4)
+    interior = _random_interior(rng, 4, 5, -1, 5)
+    ub = _upper(corners, interior)
+    for b, v in [(Belief.point_mass(s, 4), corners[s]) for s in range(4)] + interior:
+        assert ub.value(b) <= v + 1e-9
 
 
 def test_adding_point_never_raises_hull(rng):
-    corners = _corner_points(list(rng.uniform(0, 5, size=3)))
-    pts = corners + [(Belief.from_dense(rng.dirichlet(np.ones(3))), float(rng.uniform(-1, 5)))
-                     for _ in range(4)]
+    ub = _upper(rng.uniform(0, 5, size=3), _random_interior(rng, 3, 4, -1, 5))
     queries = [Belief.from_dense(rng.dirichlet(np.ones(3))) for _ in range(20)]
-    before = [hull_projection(pts, q) for q in queries]
-    pts.append((Belief.from_dense(rng.dirichlet(np.ones(3))), float(rng.uniform(-1, 5))))
-    after = [hull_projection(pts, q) for q in queries]
+    before = [ub.value(q) for q in queries]
+    for b, v in _random_interior(rng, 3, 1, -1, 5):
+        ub.add_point(b, v, None)
+    after = [ub.value(q) for q in queries]
     for lo, hi in zip(after, before):
         assert lo <= hi + 1e-9
 
 
 def test_removing_non_vertex_point_changes_nothing(rng):
-    corners = _corner_points([1.0, 1.0, 1.0])
-    pts = corners + [(Belief.from_dense(rng.dirichlet(np.ones(3))), 5.0)]  # way above
+    corners = [1.0, 1.0, 1.0]
+    interior = [(Belief.from_dense(rng.dirichlet(np.ones(3))), 5.0)]  # way above
     queries = [Belief.from_dense(rng.dirichlet(np.ones(3))) for _ in range(20)]
-    with_point = [hull_projection(pts, q) for q in queries]
-    without = [hull_projection(corners, q) for q in queries]
+    with_point = [_upper(corners, interior).value(q) for q in queries]
+    without = [_upper(corners).value(q) for q in queries]
     np.testing.assert_allclose(with_point, without, atol=1e-9)
 
 
 def test_projection_convex_in_query(rng):
-    corners = _corner_points(list(rng.uniform(0, 3, size=3)))
-    pts = corners + [(Belief.from_dense(rng.dirichlet(np.ones(3))), float(rng.uniform(-1, 3)))
-                     for _ in range(4)]
+    ub = _upper(rng.uniform(0, 3, size=3), _random_interior(rng, 3, 4, -1, 3))
     for _ in range(20):
         b1 = rng.dirichlet(np.ones(3))
         b2 = rng.dirichlet(np.ones(3))
         lam = float(rng.uniform())
         mid = lam * b1 + (1 - lam) * b2
-        v_mid = hull_projection(pts, Belief.from_dense(mid))
-        v1 = hull_projection(pts, Belief.from_dense(b1))
-        v2 = hull_projection(pts, Belief.from_dense(b2))
+        v_mid = ub.value(Belief.from_dense(mid))
+        v1 = ub.value(Belief.from_dense(b1))
+        v2 = ub.value(Belief.from_dense(b2))
         assert v_mid <= lam * v1 + (1 - lam) * v2 + 1e-9

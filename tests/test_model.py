@@ -52,13 +52,6 @@ def test_belief_dense_round_trip(rng):
     np.testing.assert_allclose(b.to_dense(), dense, atol=1e-12)
 
 
-def test_value_interval_width():
-    from hsvi import ValueInterval
-
-    interval = ValueInterval(1.25, 4.0)
-    assert interval.width == pytest.approx(2.75)
-
-
 def test_model_validation_rejects_bad_rows():
     t = np.ones((1, 2, 2))  # rows sum to 2
     o = np.full((1, 2, 2), 0.5)

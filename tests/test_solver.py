@@ -1,6 +1,7 @@
 """Forward search, heuristics, drivers, and their theoretical guardrails."""
 
 import sys
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,11 +16,11 @@ from hsvi import (
     PomdpModel,
     RockSampleParams,
     SolverConfig,
+    apply_update,
     choose_action,
     choose_observation,
     depth_bound,
     expand,
-    explore,
     gen_rocksample,
     init_bounds,
     solve,
@@ -125,17 +126,16 @@ def test_choose_observation_matches_brute_force(rng):
 
 
 # ---------------------------------------------------------------------------
-# explore
+# explore: one trial of solve
 # ---------------------------------------------------------------------------
 
 def test_explore_no_update_when_already_converged():
     m = zero_reward_model()
     bounds = init_bounds(m)
-    n_vectors = len(bounds.lower)
-    n_points = bounds.upper.num_points
-    explore(m, bounds, m.initial_belief, epsilon=0.5, t=0)
-    assert len(bounds.lower) == n_vectors
-    assert bounds.upper.num_points == n_points
+    res = solve(m, SolverConfig(epsilon=0.5, max_trials=1))
+    assert res.total_updates == 0
+    assert len(res.bounds.lower) == len(bounds.lower)
+    assert res.bounds.upper.num_points == bounds.upper.num_points
 
 
 def test_depth_bound_arithmetic():
@@ -171,9 +171,9 @@ def test_explore_finishes_an_unfinished_node(rng, monkeypatch):
     updated = []
     original = solver_module.apply_update
 
-    def tracking(model, bounds_, b, expansion):
+    def tracking(model, bounds_, b, expansion, deadline):
         updated.append(b)
-        return original(model, bounds_, b, expansion)
+        return original(model, bounds_, b, expansion, deadline)
 
     def excess(b, t):
         width = bounds.upper.value(b) - bounds.lower.value(b)
@@ -181,7 +181,7 @@ def test_explore_finishes_an_unfinished_node(rng, monkeypatch):
 
     monkeypatch.setattr(solver_module, "apply_update", tracking)
     assert excess(b0, 0) > 0
-    explore(m, bounds, b0, epsilon=eps, t=0)
+    bounds = solve(m, SolverConfig(epsilon=eps, max_trials=1)).bounds
     # updates run deepest first, so the reversed list is the path from b0
     visited = list(reversed(updated))
     assert visited[0] is b0
@@ -337,6 +337,28 @@ def test_deadline_cuts_a_trial_between_updates(monkeypatch):
     assert res.trace.width[-1] < res.trace.width[0]
 
 
+def test_trial_hands_its_deadline_to_the_prune(rng, monkeypatch):
+    # The pruning passes that a timed solve's updates start get the solve's
+    # deadline, so a long pass ends with it; an untimed solve passes none.
+    m = oracles.random_pomdp(rng, 3, 2, 2, 0.9)
+    original = bounds_module.prune_upper
+    for timeout_s in (None, 600.0):
+        deadlines = []
+
+        def recording(model, ub, *deadline):
+            deadlines.append(deadline)
+            return original(model, ub, *deadline)
+
+        monkeypatch.setattr(bounds_module, "prune_upper", recording)
+        start = time.monotonic()
+        solve(m, SolverConfig(epsilon=0.01, timeout_s=timeout_s))
+        assert deadlines
+        if timeout_s is None:
+            assert all(d == () for d in deadlines)
+        else:
+            assert all(start < d[0] <= time.monotonic() + timeout_s for d in deadlines)
+
+
 def test_solve_trial_cap(rng):
     m = oracles.random_pomdp(rng, 3, 2, 2, 0.9)
     res = solve(m, SolverConfig(epsilon=1e-8, max_trials=3))
@@ -361,10 +383,10 @@ def test_anytime_trial_epsilon_tracks_zeta_times_width(rng, monkeypatch):
         return original(model, bounds, b, t, epsilon, t_max, deadline, width)
 
     monkeypatch.setattr(solver_module, "_trial", spy)
-    res = solve_anytime(m, SolverConfig(epsilon=0.05, zeta=0.95, max_trials=4))
+    res = solve_anytime(m, SolverConfig(epsilon=0.05, max_trials=4))
     widths = res.trace.width
     for (trial_eps, width), width_before in zip(seen, widths):
-        assert trial_eps == pytest.approx(0.95 * width_before, rel=1e-12)
+        assert trial_eps == pytest.approx(solver_module.ZETA * width_before, rel=1e-12)
         assert width == width_before  # the recorded width, not a second evaluation
 
 
@@ -411,10 +433,8 @@ def test_width_identity_after_child_evaluation(rng):
     m = oracles.random_pomdp(rng, 3, 2, 2, 0.9)
     bounds = init_bounds(m)
     for _ in range(10):
-        local_update_belief = Belief.from_dense(rng.dirichlet(np.ones(3)))
-        from hsvi import local_update
-
-        local_update(m, bounds, local_update_belief)
+        b = Belief.from_dense(rng.dirichlet(np.ones(3)))
+        apply_update(m, bounds, b, expand(m, bounds.upper.value, b))
     b = Belief.from_dense(rng.dirichlet(np.ones(3)))
     upper = _upper_expansion(m, bounds, b)
     a_star = choose_action(upper)
