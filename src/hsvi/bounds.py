@@ -22,6 +22,7 @@ STORE_FLOATS numbers; past that, the least recently queried are dropped.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -37,6 +38,8 @@ POINT_DEDUP_L1 = 1e-9
 DOMINATED_SLACK = 1e-9
 BASES_KEPT = 64          # (basis, B⁻¹) pairs kept per support pattern
 STORE_FLOATS = 2 ** 20   # numbers all patterns' LP state may hold (8 MiB)
+MDP_RESIDUAL = 1e-6      # stopping residual of the corner values' value iteration
+MDP_MAX_SWEEPS = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -213,8 +216,7 @@ class UpperBound:
         if new.size:
             pattern.append(new, self._beliefs)
         values = np.concatenate([self.corner_values[b.states], self._value_arr[pattern.picked]])
-        solution = projection_lp(pattern.columns.T, values, b.probs, np.arange(b.states.size),
-                                 store=pattern.store)
+        solution = projection_lp(pattern.columns.T, values, b.probs, pattern.store)
         self._held += pattern.floats - held
         while self._held > STORE_FLOATS and len(self._patterns) > 1:
             self._held -= self._patterns.pop(next(iter(self._patterns))).floats
@@ -292,8 +294,9 @@ def init_lower(model):
     return lb
 
 
-def mdp_value_iteration(model, residual=1e-6, max_sweeps=10 ** 6):
-    """Value of the fully observable relaxation, converged from above.
+def mdp_value_iteration(model):
+    """Value of the fully observable relaxation, converged from above to
+    MDP_RESIDUAL within MDP_MAX_SWEEPS sweeps.
 
     Starting at max R / (1 - discount) keeps every sweep an upper bound on
     the MDP optimum (and hence on the POMDP optimum at simplex corners), so
@@ -301,14 +304,14 @@ def mdp_value_iteration(model, residual=1e-6, max_sweeps=10 ** 6):
     """
     gamma = model.discount
     v = np.full(model.num_states, model.reward.max() / (1.0 - gamma))
-    for _ in range(max_sweeps):
+    for _ in range(MDP_MAX_SWEEPS):
         q = np.stack([model.reward[a] + gamma * (model.transition[a] @ v)
                       for a in range(model.num_actions)])
         new = q.max(axis=0)
-        if np.abs(new - v).max() <= residual:
+        if np.abs(new - v).max() <= MDP_RESIDUAL:
             return new
         v = new
-    raise NoConvergence(f"MDP value iteration did not reach residual {residual}")
+    raise NoConvergence(f"MDP value iteration did not reach residual {MDP_RESIDUAL}")
 
 
 def init_upper(model):
@@ -400,7 +403,7 @@ def backup_lower(model, lb, b, expansion):
     return AlphaVector(best_vector, best_action)
 
 
-def apply_update(model, bounds, b, expansion, deadline=None):
+def apply_update(model, bounds, b, expansion, deadline=math.inf):
     """Update both bounds at b from one upper-bound expansion at b.
 
     The lower bound gains the backup vector folded from the expansion's
@@ -409,18 +412,15 @@ def apply_update(model, bounds, b, expansion, deadline=None):
     search passes the expansion its descent made, so no successor is
     computed twice; a fresh update at b is
     ``apply_update(model, bounds, b, expand(model, bounds.upper.value, b))``.
-    A pruning pass this update starts ends at ``deadline`` (a
-    ``time.monotonic()`` value), if one is given.
+    A pruning pass this update starts ends at ``deadline``, a
+    ``time.monotonic()`` value; the default, ``math.inf``, never ends one.
     """
     bounds.lower.add(backup_lower(model, bounds.lower, b, expansion))
     if len(bounds.lower) >= PRUNE_GROWTH * bounds.lower.size_at_last_prune:
         prune_lower(bounds.lower)
     bounds.upper.add_point(b, max(branch.q for branch in expansion), expansion)
     if bounds.upper.num_points >= PRUNE_GROWTH * bounds.upper.size_at_last_prune:
-        if deadline is None:   # the two-argument call, which wrappers of the prune may expect
-            prune_upper(model, bounds.upper)
-        else:
-            prune_upper(model, bounds.upper, deadline)
+        prune_upper(model, bounds.upper, deadline)
     return bounds
 
 
@@ -445,7 +445,7 @@ def prune_lower(lb):
     return lb
 
 
-def prune_upper(model, ub, deadline=None):
+def prune_upper(model, ub, deadline=math.inf):
     """Drop or refresh interior points dominated by their own Bellman value.
 
     Points strictly above the hull at their own belief are dominated (the
@@ -460,13 +460,14 @@ def prune_upper(model, ub, deadline=None):
     point's stored expansion re-valued, so pruning runs no belief kernel.
 
     Each removal and each refresh is sound on its own, so a pass may stop
-    anywhere: once ``time.monotonic()`` passes ``deadline``, it ends before
-    the next point, the points it has not reached keep their values, and
-    the size at the last pruning is left as it was.
+    anywhere: once ``time.monotonic()`` passes ``deadline`` (``math.inf``,
+    the default, never passes), it ends before the next point, the points
+    it has not reached keep their values, and the size at the last pruning
+    is left as it was.
     """
     index = 0
     while index < len(ub._beliefs):
-        if deadline is not None and time.monotonic() > deadline:
+        if time.monotonic() > deadline:
             return ub
         b = ub._beliefs[index]
         v = float(ub._value_arr[index])

@@ -47,22 +47,15 @@ def _write_outputs(result, args):
         log.info("policy written to %s", args.policy)
 
 
-def cmd_solve(args):
+def cmd_plan(args):
+    """`solve` and `anytime`: ``args.solver`` is the one each subparser sets."""
     model = load_pomdp(args.model)
     config = SolverConfig(epsilon=args.epsilon, timeout_s=args.timeout)
-    result = solve(model, config)
+    result = args.solver(model, config)
     _write_outputs(result, args)
     print(_solver_summary(result))
-    return 0 if result.terminated_by == "epsilon-reached" else 2
-
-
-def cmd_anytime(args):
-    model = load_pomdp(args.model)
-    config = SolverConfig(epsilon=args.epsilon, timeout_s=args.timeout)
-    result = solve_anytime(model, config)
-    _write_outputs(result, args)
-    print(_solver_summary(result))
-    print(f"regret bound: {result.final_width:.6g}")
+    if args.solver is solve_anytime:
+        print(f"regret bound: {result.final_width:.6g}")
     return 0 if result.terminated_by == "epsilon-reached" else 2
 
 
@@ -92,14 +85,6 @@ def cmd_gen_rocksample(args):
 def cmd_evaluate(args):
     model = load_pomdp(args.model)
     lb = load_policy_file(args.policy)
-    if lb.num_states != model.num_states:
-        print(f"error: policy has |S|={lb.num_states}, model has "
-              f"|S|={model.num_states}", file=sys.stderr)
-        return 1
-    if (lb.actions >= model.num_actions).any():
-        print("error: policy references actions the model does not have",
-              file=sys.stderr)
-        return 1
     config = EvalConfig(num_episodes=args.episodes, horizon=args.horizon,
                         seed=args.seed, discounted=not args.undiscounted)
     result = evaluate(model, lb, config)
@@ -134,7 +119,7 @@ def build_parser():
     p.add_argument("--timeout", type=float, default=None, metavar="SECONDS")
     p.add_argument("--trace", default=None, metavar="CSV")
     p.add_argument("--policy", default=None, metavar="FILE")
-    p.set_defaults(func=cmd_solve)
+    p.set_defaults(func=cmd_plan, solver=solve)
 
     p = sub.add_parser("anytime", help="plan under a wall-clock budget")
     p.add_argument("model")
@@ -143,7 +128,7 @@ def build_parser():
                    help="final width target (default: machine tolerance)")
     p.add_argument("--trace", default=None, metavar="CSV")
     p.add_argument("--policy", default=None, metavar="FILE")
-    p.set_defaults(func=cmd_anytime)
+    p.set_defaults(func=cmd_plan, solver=solve_anytime)
 
     p = sub.add_parser("gen-rocksample", help="generate a RockSample[n,k] model file")
     p.add_argument("n", type=int)

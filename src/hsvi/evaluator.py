@@ -102,9 +102,16 @@ def _run_episodes(model, lb, config):
 
 
 def evaluate(model, lb, config):
-    """Run config.num_episodes independent episodes and summarize."""
+    """Run config.num_episodes independent episodes of the policy ``lb`` and
+    summarize. The policy must hold a vector, over the model's states, and
+    tag only the model's actions."""
     if not len(lb):
         raise ValidationError("the policy holds no alpha vector")
+    if lb.num_states != model.num_states:
+        raise ValidationError(f"policy has |S|={lb.num_states}, model has "
+                              f"|S|={model.num_states}")
+    if (lb.actions >= model.num_actions).any():
+        raise ValidationError("policy references actions the model does not have")
     returns, aborted = _run_episodes(model, lb, config)
 
     mean = float(returns.mean())

@@ -41,6 +41,7 @@ All floats are written with 17 significant digits so round trips are exact.
 from __future__ import annotations
 
 import itertools
+from contextlib import nullcontext
 
 import numpy as np
 from scipy import sparse
@@ -417,36 +418,36 @@ def _names_or_count(names, count):
     return " ".join(names) if names else str(count)
 
 
+def open_sink(sink, newline=None):
+    """A context manager over where a writer writes: ``sink`` itself if it is
+    a writable handle, which stays open, else the file at path ``sink``."""
+    return nullcontext(sink) if hasattr(sink, "write") else open(sink, "w", newline=newline)
+
+
 def write_pomdp(model, sink):
-    """Serialize a model in the `.pomdp` subset with exact float round trips."""
-    if hasattr(sink, "write"):
-        _write_pomdp(model, sink)
-    else:
-        with open(sink, "w") as handle:
-            _write_pomdp(model, handle)
-
-
-def _write_pomdp(model, out):
-    out.write(f"discount: {_fmt(model.discount)}\n")
-    out.write("values: reward\n")
-    out.write(f"states: {_names_or_count(model.state_names, model.num_states)}\n")
-    out.write(f"actions: {_names_or_count(model.action_names, model.num_actions)}\n")
-    out.write("observations: "
-              f"{_names_or_count(model.observation_names, model.num_observations)}\n")
-    dense_start = model.initial_belief.to_dense()
-    out.write("start: " + " ".join(_fmt(x) for x in dense_start) + "\n")
-    for a in range(model.num_actions):
-        coo = model.transition[a].tocoo()
-        for s, sp, p in zip(coo.row, coo.col, coo.data):
-            if p != 0.0:
-                out.write(f"T: {a} : {s} : {sp} {_fmt(p)}\n")
-    for a in range(model.num_actions):
-        nonzero = np.argwhere(model.observation[a] != 0.0)
-        for sp, o in nonzero:
-            out.write(f"O: {a} : {sp} : {o} {_fmt(model.observation[a, sp, o])}\n")
-    for a in range(model.num_actions):
-        for s in np.flatnonzero(model.reward[a] != 0.0):
-            out.write(f"R: {a} : {s} : * : * {_fmt(model.reward[a, s])}\n")
+    """Serialize a model in the `.pomdp` subset with exact float round trips
+    to a writable handle or a path."""
+    with open_sink(sink) as out:
+        out.write(f"discount: {_fmt(model.discount)}\n")
+        out.write("values: reward\n")
+        out.write(f"states: {_names_or_count(model.state_names, model.num_states)}\n")
+        out.write(f"actions: {_names_or_count(model.action_names, model.num_actions)}\n")
+        out.write("observations: "
+                  f"{_names_or_count(model.observation_names, model.num_observations)}\n")
+        dense_start = model.initial_belief.to_dense()
+        out.write("start: " + " ".join(_fmt(x) for x in dense_start) + "\n")
+        for a in range(model.num_actions):
+            coo = model.transition[a].tocoo()
+            for s, sp, p in zip(coo.row, coo.col, coo.data):
+                if p != 0.0:
+                    out.write(f"T: {a} : {s} : {sp} {_fmt(p)}\n")
+        for a in range(model.num_actions):
+            nonzero = np.argwhere(model.observation[a] != 0.0)
+            for sp, o in nonzero:
+                out.write(f"O: {a} : {sp} : {o} {_fmt(model.observation[a, sp, o])}\n")
+        for a in range(model.num_actions):
+            for s in np.flatnonzero(model.reward[a] != 0.0):
+                out.write(f"R: {a} : {s} : * : * {_fmt(model.reward[a, s])}\n")
 
 
 # -- policy files ------------------------------------------------------------
@@ -455,19 +456,13 @@ POLICY_HEADER_PREFIX = "alpha-policy v1 |S|="
 
 
 def save_policy(lb, sink):
-    """Write a LowerBound's vectors in order, each after its action tag."""
-    if hasattr(sink, "write"):
-        _save_policy(lb, sink)
-    else:
-        with open(sink, "w") as handle:
-            _save_policy(lb, handle)
-
-
-def _save_policy(lb, out):
-    out.write(f"{POLICY_HEADER_PREFIX}{lb.num_states}\n")
-    for action, vector in zip(lb.actions, lb.matrix):
-        out.write(f"{int(action)}\n")
-        out.write(" ".join(_fmt(x) for x in vector) + "\n")
+    """Write a LowerBound's vectors in order, each after its action tag, to
+    a writable handle or a path."""
+    with open_sink(sink) as out:
+        out.write(f"{POLICY_HEADER_PREFIX}{lb.num_states}\n")
+        for action, vector in zip(lb.actions, lb.matrix):
+            out.write(f"{int(action)}\n")
+            out.write(" ".join(_fmt(x) for x in vector) + "\n")
 
 
 def load_policy(source):

@@ -7,16 +7,16 @@ A hull projection of a query q onto a point set {(p_i, v_i)} is the LP
 
 with one matching row per coordinate of q. Every p_i and q sums to one, so
 the rows already imply Σ λ_i = 1. The point set always holds the simplex
-corners of q's support; they are unit columns, so the corner basis has the
-identity as its inverse and q as its weights, and the primal simplex never
-needs a phase 1 nor a factorisation. The kernel keeps the basis inverse B⁻¹
-explicitly, prices with c − (c_B B⁻¹) A and updates B⁻¹ by a rank-1 pivot.
-Pivoting is steepest-descent (Dantzig) until progress stalls on degenerate
-pivots, then switches permanently to Bland's rule, whose lowest-index
-discipline rules out cycling. The ratio test takes as tied every row within
-the Harris bound min_i (x_i + PIVOT_TOL) / α_i, so no pivot drives a basic
-weight below −PIVOT_TOL, and ties always break toward the lowest basic index,
-so runs are deterministic.
+corners of q's support as its first d points; they are unit columns, so the
+corner basis has the identity as its inverse and q as its weights, and the
+primal simplex never needs a phase 1 nor a factorisation. The kernel keeps
+the basis inverse B⁻¹ explicitly, prices with c − (c_B B⁻¹) A and updates
+B⁻¹ by a rank-1 pivot. Pivoting is steepest-descent (Dantzig) until
+progress stalls on degenerate pivots, then switches permanently to Bland's
+rule, whose lowest-index discipline rules out cycling. The ratio test takes
+as tied every row within the Harris bound min_i (x_i + PIVOT_TOL) / α_i, so
+no pivot drives a basic weight below −PIVOT_TOL, and ties always break
+toward the lowest basic index, so runs are deterministic.
 
 A start is a primal feasible basis with its B⁻¹. A caller that queries one
 constraint matrix many times keeps a BasisStore of up to a fixed number of
@@ -31,7 +31,7 @@ sound upper bound even where round-off has drifted B⁻¹. An answer that
 fails the check is pivoted on once more from a freshly inverted final
 basis; if it fails again, or a start stalls at the iteration cap, the next
 start takes over. After the corner start, the same LP goes to scipy's
-HiGHS, whose answer is checked the same way; it has no basis, so the store
+HiGHS, whose answer passes the same check; it has no basis, so the store
 stays as it was.
 """
 
@@ -190,22 +190,33 @@ def _run_simplex(a, c, basis, inverse, x_basic, max_iter):
                 bland = True
 
 
+def _sound(a, q, x):
+    """(weights, residual) of the weights ``x`` of A x = q, or None when they
+    are not a sound upper bound: a weight below -FEAS_TOL, or, once
+    round-off negatives are clipped to zero, a miss on the matching rows by
+    more than FEAS_TOL. Every answer, the simplex's and HiGHS's, passes here.
+    """
+    if x.min() < -FEAS_TOL:
+        return None
+    weights = np.maximum(x, 0.0)
+    residual = float(np.abs(a @ weights - q).max())
+    if residual > FEAS_TOL:
+        return None
+    return weights, residual
+
+
 def _checked(a, q, c, x_basic, basis, inverse, iterations):
-    """The answer of an optimal basis, or None when its weights are not a
-    sound upper bound: a weight below -FEAS_TOL, or, once round-off negatives
-    are clipped to zero, a miss on the matching rows by more than FEAS_TOL.
+    """The answer of an optimal basis, or None when its weights fail
+    ``_sound``.
 
     The weights first get one step of iterative refinement, because the
     pivots' round-off leaves them off the basis's exact solution.
     """
     a_basic = a[:, basis]
-    x_basic = x_basic + inverse @ (q - a_basic @ x_basic)
-    if x_basic.min() < -FEAS_TOL:
+    sound = _sound(a_basic, q, x_basic + inverse @ (q - a_basic @ x_basic))
+    if sound is None:
         return None
-    weights = np.maximum(x_basic, 0.0)
-    residual = float(np.abs(a_basic @ weights - q).max())
-    if residual > FEAS_TOL:
-        return None
+    weights, residual = sound
     x = np.zeros(a.shape[1])
     x[basis] = weights
     return LpSolution(float(c[basis] @ weights), x, basis, inverse, iterations, residual)
@@ -241,11 +252,7 @@ def _from_basis(a, q, c, basis, inverse, x_basic, max_iter):
 
 def _highs(a, q, c):
     """The same LP through HiGHS, for when both simplex starts break down.
-
-    Any x >= 0 with A x = q yields a sound upper bound, so the answer is
-    checked rather than trusted: round-off negatives are clipped to zero and
-    the weights must then meet the constraints to FEAS_TOL.
-    """
+    Its answer is checked by ``_sound`` rather than trusted."""
     from scipy.optimize import linprog  # only loaded on this rare path
 
     result = linprog(c, A_eq=a, b_eq=q, bounds=(0, None), method="highs",
@@ -253,48 +260,44 @@ def _highs(a, q, c):
                               "dual_feasibility_tolerance": HIGHS_TOL})
     if result.x is None:
         raise LpFailure(f"HiGHS fallback failed: {result.message}")
-    x = np.maximum(result.x, 0.0)
-    residual = float(np.abs(a @ x - q).max())
-    if residual > FEAS_TOL:
-        raise LpFailure(f"HiGHS fallback weights miss the constraints by {residual:.3g}")
+    sound = _sound(a, q, result.x)
+    if sound is None:
+        raise LpFailure("HiGHS fallback weights are not a sound upper bound")
+    x, residual = sound
     return LpSolution(float(c @ x), x, None, None, int(result.nit), residual, "highs")
 
 
-def projection_lp(point_rows, point_values, query_vec, corner_columns, store=None):
+def projection_lp(point_rows, point_values, query_vec, store):
     """Value of the lower convex hull of (point, value) pairs at ``query_vec``.
 
     ``point_rows`` is (n_points, d) with rows on the d-dimensional probability
-    simplex, ``query_vec`` lies on the same simplex, and ``corner_columns[s]``
-    is the row holding corner e_s. The constraint matrix is ``point_rows.T``;
-    pass the transpose of a C-contiguous (d, n_points) array to avoid a copy.
-    The simplex starts from the pair that ``store`` (a BasisStore of these
-    rows, if given) picks, then from the corner basis, and hands the LP to
-    HiGHS if neither start yields a checked answer. The store keeps the
-    answer's basis; an answer a stored pair gave without a pivot shares
-    that pair's arrays.
+    simplex, the first d of them the corners e_0 .. e_{d-1}, and
+    ``query_vec`` lies on the same simplex. The constraint matrix is
+    ``point_rows.T``; pass the transpose of a C-contiguous (d, n_points)
+    array to avoid a copy. ``store`` is the BasisStore of these rows. The
+    simplex starts from the pair the store picks, then from the corner
+    basis, and hands the LP to HiGHS if neither start yields a checked
+    answer. The store keeps the answer's basis; an answer a stored pair
+    gave without a pivot shares that pair's arrays.
     """
     a = np.ascontiguousarray(point_rows.T)
     c = np.asarray(point_values, dtype=np.float64)
     d, n = a.shape
     max_iter = 10 * (n + d)
-    if store is not None:
-        index, x_basic = store.start(query_vec, c)
-        if index >= 0:
-            inverse = store.inverses[index]
-            solution = _from_basis(a, query_vec, c, store.bases[index], inverse, x_basic,
-                                   max_iter)
-            if solution is not None:
-                solution.start = "last" if index == store.last else "stored"
-                if solution.inverse is inverse:   # no pivot: the pair answered unchanged
-                    store.last = index
-                else:
-                    store.add(solution.basis, solution.inverse)
-                return solution
-    solution = _from_basis(a, query_vec, c, np.asarray(corner_columns, dtype=np.int64),
-                           np.eye(d), np.array(query_vec, dtype=np.float64), max_iter)
+    index, x_basic = store.start(query_vec, c)
+    if index >= 0:
+        inverse = store.inverses[index]
+        solution = _from_basis(a, query_vec, c, store.bases[index], inverse, x_basic, max_iter)
+        if solution is not None:
+            solution.start = "last" if index == store.last else "stored"
+            if solution.inverse is inverse:   # no pivot: the pair answered unchanged
+                store.last = index
+            else:
+                store.add(solution.basis, solution.inverse)
+            return solution
+    solution = _from_basis(a, query_vec, c, np.arange(d), np.eye(d),
+                           np.array(query_vec, dtype=np.float64), max_iter)
     if solution is None:
         return _highs(a, query_vec, c)
-    if store is not None:
-        store.add(solution.basis, solution.inverse)
+    store.add(solution.basis, solution.inverse)
     return solution
-

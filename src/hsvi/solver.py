@@ -24,6 +24,7 @@ import numpy as np
 
 from .bounds import apply_update, expand, init_bounds
 from .errors import DepthCapExceeded, InvalidParams
+from .fileio import open_sink
 
 DEPTH_MARGIN = 2          # slack past the theoretical cap before declaring a bug
 MACHINE_WIDTH = 1e-9      # anytime stops once the gap is numerically closed
@@ -40,9 +41,10 @@ class SolverConfig:
                        solve_anytime aims each trial at ZETA times the
                        current width at the initial belief and stops once
                        the width is within epsilon.
-    timeout_s          wall-clock budget; None means unbounded. The deadline
-                       is checked before each expansion, each update and
-                       each point of a pruning pass.
+    timeout_s          wall-clock budget; None means unbounded, a deadline
+                       of math.inf. The deadline is checked before each
+                       expansion, each update and each point of a pruning
+                       pass.
     max_trials         cap on top-level trials; None means unbounded.
     audit_num_beliefs  number of fixed random beliefs whose bound values are
                        recorded every trial (invariant checking).
@@ -90,22 +92,17 @@ class SolveTrace:
         return len(self.trial)
 
     def write_csv(self, sink):
-        if hasattr(sink, "write"):
-            self._write(sink)
-        else:
-            with open(sink, "w", newline="") as handle:
-                self._write(handle)
-
-    def _write(self, handle):
-        writer = csv.writer(handle)
-        writer.writerow(self.COLUMNS)
-        for i in range(len(self)):
-            writer.writerow([
-                self.trial[i], f"{self.wall_time_s[i]:.6f}",
-                f"{self.lower_b0[i]:.10g}", f"{self.upper_b0[i]:.10g}",
-                f"{self.width[i]:.10g}", self.num_vectors[i],
-                self.num_points[i], self.updates[i], self.max_depth[i],
-            ])
+        """Write the columns as CSV to a writable handle or a path."""
+        with open_sink(sink, newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(self.COLUMNS)
+            for i in range(len(self)):
+                writer.writerow([
+                    self.trial[i], f"{self.wall_time_s[i]:.6f}",
+                    f"{self.lower_b0[i]:.10g}", f"{self.upper_b0[i]:.10g}",
+                    f"{self.width[i]:.10g}", self.num_vectors[i],
+                    self.num_points[i], self.updates[i], self.max_depth[i],
+                ])
 
 
 @dataclass
@@ -175,30 +172,31 @@ def choose_observation(model, bounds, branch, epsilon, t):
     return best_o
 
 
-def _trial(model, bounds, b, t, epsilon, t_max, deadline, width):
-    """The paper's explore(b, epsilon, t), from belief b at depth t:
+def _trial(model, bounds, epsilon, t_max, deadline, width):
+    """The paper's explore(b0, epsilon, 0), the trial from the initial belief:
     (updates, deepest depth, timed out).
 
-    ``width`` is the current gap between the bounds at b; the trial does
-    nothing when it is within the target. The descent expands each belief
-    once against the upper bound, follows choose_action and
-    choose_observation, and stops at the first node whose
-    children are all finished; a child that choose_observation picks is
-    unfinished by construction. Then every belief on the path is updated,
-    deepest first, from the expansion the descent made there. The deadline
-    is checked before each expansion and before each update, and a pruning
-    pass an update starts ends at it; a trial cut there keeps, and counts,
-    the updates it has already applied, each of which is sound on its own.
+    ``width`` is the current gap between the bounds at b0; the trial does
+    nothing when it is within epsilon, the target at the root. The descent
+    expands each belief once against the upper bound, follows choose_action
+    and choose_observation, and stops at the first node whose children are
+    all finished; a child that choose_observation picks is unfinished by
+    construction. Then every belief on the path is updated, deepest first,
+    from the expansion the descent made there. The deadline (a
+    ``time.monotonic()`` value, ``math.inf`` for none) is checked before
+    each expansion and before each update, and a pruning pass an update
+    starts ends at it; a trial cut there keeps, and counts, the updates it
+    has already applied, each of which is sound on its own.
     """
-    gamma = model.discount
-    target = epsilon if (t == 0 or gamma == 0.0) else epsilon * gamma ** (-t)
+    b = model.initial_belief
+    t = 0
     path = []
-    if width > target:
+    if width > epsilon:
         while True:
             if t > t_max + DEPTH_MARGIN:
                 raise DepthCapExceeded(
                     f"exploration reached depth {t} > cap {t_max} + {DEPTH_MARGIN}")
-            if deadline is not None and time.monotonic() > deadline:
+            if time.monotonic() > deadline:
                 return 0, t, True
             expansion = expand(model, bounds.upper.value, b)
             branch = expansion[choose_action(expansion)]
@@ -209,7 +207,7 @@ def _trial(model, bounds, b, t, epsilon, t_max, deadline, width):
             b = branch.posteriors[o_star]
             t += 1
     for updates, (b, expansion) in enumerate(reversed(path)):
-        if deadline is not None and time.monotonic() > deadline:
+        if time.monotonic() > deadline:
             return updates, t, True
         apply_update(model, bounds, b, expansion, deadline)
     return len(path), t, False
@@ -250,7 +248,7 @@ def _drive(model, config, anytime):
     final_target = max(config.epsilon, MACHINE_WIDTH) if anytime else config.epsilon
 
     start = time.monotonic()
-    deadline = start + config.timeout_s if config.timeout_s is not None else None
+    deadline = math.inf if config.timeout_s is None else start + config.timeout_s
 
     trace = SolveTrace()
     total_updates = 0
@@ -284,13 +282,12 @@ def _drive(model, config, anytime):
         if config.max_trials is not None and trial >= config.max_trials:
             terminated_by = "trial-cap"
             break
-        if deadline is not None and time.monotonic() > deadline:
+        if time.monotonic() > deadline:
             terminated_by = "timeout"
             break
         trial_epsilon = max(ZETA * width, MACHINE_WIDTH) if anytime else config.epsilon
         t_max = depth_bound(trial_epsilon, gap0, gamma)
-        updates, depth, timed_out = _trial(model, bounds, b0, 0, trial_epsilon, t_max,
-                                           deadline, width)
+        updates, depth, timed_out = _trial(model, bounds, trial_epsilon, t_max, deadline, width)
         total_updates += updates
         if timed_out:
             record(trial + 1, depth)

@@ -88,6 +88,14 @@ def test_evaluate_dimension_mismatch(zero_model_path, tmp_path, capsys):
     assert "|S|" in capsys.readouterr().err
 
 
+def test_evaluate_action_mismatch(zero_model_path, tmp_path, capsys):
+    policy_path = tmp_path / "p.policy"
+    policy_path.write_text("alpha-policy v1 |S|=1\n4\n0\n")
+    assert main(["evaluate", zero_model_path, str(policy_path)]) == 1
+    assert ("error: policy references actions the model does not have"
+            in capsys.readouterr().err)
+
+
 def test_evaluate_empty_policy_exits_one(zero_model_path, tmp_path, capsys):
     policy_path = tmp_path / "p.policy"
     policy_path.write_text("alpha-policy v1 |S|=1\n")

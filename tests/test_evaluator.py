@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import zero_reward_model
+from conftest import tiny_deterministic_model, zero_reward_model
 from hsvi import (
     AlphaVector,
     Belief,
     EvalConfig,
     PomdpModel,
     SolverConfig,
+    ValidationError,
     evaluate,
     init_lower,
     policy_action,
@@ -132,6 +133,19 @@ def test_evaluate_zero_reward():
     result = evaluate(m, init_lower(m), EvalConfig(num_episodes=20, horizon=30))
     assert result.mean == 0.0
     assert result.ci95_half_width == 0.0
+
+
+def test_evaluate_refuses_a_policy_over_other_states():
+    # a 3-state policy on a 2-state model
+    with pytest.raises(ValidationError, match=r"policy has \|S\|=3, model has \|S\|=2"):
+        evaluate(tiny_deterministic_model(), _advance_policy(), EvalConfig(num_episodes=3))
+
+
+def test_evaluate_refuses_an_action_the_model_lacks():
+    lb = LowerBound(1)
+    lb.add(AlphaVector(np.zeros(1), 4))
+    with pytest.raises(ValidationError, match="actions the model does not have"):
+        evaluate(_one_state_model(), lb, EvalConfig(num_episodes=3))
 
 
 def test_evaluate_reproducible_bit_for_bit(rng):

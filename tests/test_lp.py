@@ -45,7 +45,7 @@ def _random_interior(rng, n, count, low, high):
 
 def test_fixed_variable():
     # one state: the corner is the only point and its weight is forced to 1
-    sol = projection_lp(np.array([[1.0]]), np.array([1.0]), np.array([1.0]), [0])
+    sol = projection_lp(np.array([[1.0]]), np.array([1.0]), np.array([1.0]), BasisStore(1, 1))
     assert sol.value == pytest.approx(1.0)
     assert sol.x[0] == pytest.approx(1.0)
     assert sol.residual <= 1e-8
@@ -54,7 +54,8 @@ def test_fixed_variable():
 def test_identity_projection_single_point():
     # the query is a stored point below the hull of the corners: weight 1 on it
     rows = np.array([[1.0, 0.0], [0.0, 1.0], [0.3, 0.7]])
-    sol = projection_lp(rows, np.array([10.0, 10.0, 5.0]), np.array([0.3, 0.7]), np.arange(2))
+    sol = projection_lp(rows, np.array([10.0, 10.0, 5.0]), np.array([0.3, 0.7]),
+                        BasisStore(2, 1))
     assert sol.value == pytest.approx(5.0)
     assert sol.x[2] == pytest.approx(1.0)
 
@@ -65,9 +66,8 @@ def test_warm_start_reproduces_solution(rng):
     rows = np.vstack([np.eye(3), points])
     vals = np.concatenate([np.full(3, values.max() + 1.0), values])
     query = rng.dirichlet(np.ones(3))
-    corner = projection_lp(rows, vals, query, corner_columns=np.arange(3))
-    warm = projection_lp(rows, vals, query, corner_columns=np.arange(3),
-                         store=_store(corner.basis, corner.inverse))
+    corner = projection_lp(rows, vals, query, BasisStore(3, 1))
+    warm = projection_lp(rows, vals, query, _store(corner.basis, corner.inverse))
     assert warm.value == pytest.approx(corner.value, abs=1e-10)
     assert warm.iterations == 0
     assert warm.start == "last"
@@ -89,9 +89,8 @@ def test_stalling_lp_falls_back_to_highs():
     # basis here; whichever path answers, the answer must be HiGHS's optimum.
     lp = np.load(DATA / "rocksample55_stalling_lp.npz")
     rows, vals, query = lp["point_rows"], lp["point_values"], lp["query_vec"]
-    sol = projection_lp(rows, vals, query, corner_columns=lp["corner_columns"],
-                        store=_store(lp["warm_basis"],
-                                     np.linalg.inv(rows.T[:, lp["warm_basis"]])))
+    sol = projection_lp(rows, vals, query,
+                        _store(lp["warm_basis"], np.linalg.inv(rows.T[:, lp["warm_basis"]])))
     d = query.size
     reference = linprog(vals, A_eq=np.vstack([rows.T[: d - 1], np.ones(len(vals))]),
                         b_eq=np.append(query[: d - 1], 1.0), bounds=(0, None),
@@ -114,9 +113,8 @@ def test_highs_answers_when_both_starts_fail(monkeypatch, step, failing):
     lp = np.load(DATA / "rocksample55_stalling_lp.npz")
     rows, vals, query = lp["point_rows"], lp["point_values"], lp["query_vec"]
     monkeypatch.setattr(lp_module, step, failing)
-    sol = projection_lp(rows, vals, query, corner_columns=lp["corner_columns"],
-                        store=_store(lp["warm_basis"],
-                                     np.linalg.inv(rows.T[:, lp["warm_basis"]])))
+    sol = projection_lp(rows, vals, query,
+                        _store(lp["warm_basis"], np.linalg.inv(rows.T[:, lp["warm_basis"]])))
     assert sol.basis is None and sol.inverse is None
     assert sol.value == pytest.approx(_highs_reference(rows, vals, query), abs=1e-9)
     assert sol.x.min() >= 0.0
@@ -130,9 +128,8 @@ def test_drifted_answer_is_rejected():
     # 8.6e-3 below the HiGHS optimum, i.e. below the true hull.
     lp = np.load(DATA / "rocksample44_unchecked_lp.npz")
     rows, vals, query = lp["point_rows"], lp["point_values"], lp["query_vec"]
-    sol = projection_lp(rows, vals, query, corner_columns=lp["corner_columns"],
-                        store=_store(lp["warm_basis"],
-                                     np.linalg.inv(rows.T[:, lp["warm_basis"]])))
+    sol = projection_lp(rows, vals, query,
+                        _store(lp["warm_basis"], np.linalg.inv(rows.T[:, lp["warm_basis"]])))
     assert sol.value == pytest.approx(_highs_reference(rows, vals, query), abs=1e-9)
     assert sol.x.min() >= -FEAS_TOL
     assert sol.residual <= FEAS_TOL
@@ -193,7 +190,7 @@ def _degenerate_projections(draw):
 @given(_degenerate_projections())
 def test_projection_matches_caratheodory_on_degenerate_inputs(case):
     rows, vals, query = case
-    sol = projection_lp(rows, vals, query, np.arange(query.size))
+    sol = projection_lp(rows, vals, query, BasisStore(query.size, 1))
     expected = oracles.caratheodory_projection(rows, vals, query)
     assert sol.value == pytest.approx(expected, abs=1e-6)
     assert sol.x.min() >= -FEAS_TOL
@@ -240,7 +237,7 @@ def test_warm_state_answers_match_caratheodory_as_values_drop(case):
                 ub._value_arr[index - d] -= amount
         _, vals = oracles.upper_points(ub)
         expected = oracles.caratheodory_projection(rows, vals, query)
-        sol = projection_lp(rows, vals, query, np.arange(d), store=store)
+        sol = projection_lp(rows, vals, query, store)
         assert sol.value == pytest.approx(expected, abs=1e-6)
         assert sol.x.min() >= -FEAS_TOL
         assert np.abs(sol.x @ rows - query).max() <= FEAS_TOL

@@ -1,5 +1,6 @@
 """Forward search, heuristics, drivers, and their theoretical guardrails."""
 
+import math
 import sys
 import time
 from types import SimpleNamespace
@@ -158,7 +159,7 @@ def test_depth_cap_exceeded_is_internal_error(rng):
     width = bounds.upper.value(b0) - bounds.lower.value(b0)
     # a deliberately broken cap: any expansion already sits past it
     with pytest.raises(DepthCapExceeded):
-        solver_module._trial(m, bounds, b0, 0, epsilon=1e-6, t_max=-5, deadline=None,
+        solver_module._trial(m, bounds, epsilon=1e-6, t_max=-5, deadline=math.inf,
                              width=width)
 
 
@@ -203,8 +204,8 @@ def test_trial_expands_each_visited_belief_once(rng, monkeypatch):
                         or original_kernel(*args))
     gap = float(bounds.upper.corner_values.max() - bounds.lower.matrix.min(axis=1).max())
     b0 = m.initial_belief
-    updates, _, _ = solver_module._trial(m, bounds, b0, 0, 0.01, depth_bound(0.01, gap, 0.9),
-                                         None, bounds.upper.value(b0) - bounds.lower.value(b0))
+    updates, _, _ = solver_module._trial(m, bounds, 0.01, depth_bound(0.01, gap, 0.9),
+                                         math.inf, bounds.upper.value(b0) - bounds.lower.value(b0))
     assert updates == len(updated) >= 2
     expected = sorted((id(b), a) for b in updated for a in range(m.num_actions))
     assert sorted(kernel_calls) == expected
@@ -267,9 +268,9 @@ def test_anytime_trace_fingerprint_on_sparse_supports(monkeypatch):
     prune = bounds_module.prune_upper
     pruned = []
 
-    def counted(model, ub):
+    def counted(model, ub, deadline):
         before = ub.num_points
-        prune(model, ub)
+        prune(model, ub, deadline)
         pruned.append(before - ub.num_points)
         return ub
 
@@ -339,7 +340,7 @@ def test_deadline_cuts_a_trial_between_updates(monkeypatch):
 
 def test_trial_hands_its_deadline_to_the_prune(rng, monkeypatch):
     # The pruning passes that a timed solve's updates start get the solve's
-    # deadline, so a long pass ends with it; an untimed solve passes none.
+    # deadline, so a long pass ends with it; an untimed solve passes math.inf.
     m = oracles.random_pomdp(rng, 3, 2, 2, 0.9)
     original = bounds_module.prune_upper
     for timeout_s in (None, 600.0):
@@ -354,7 +355,7 @@ def test_trial_hands_its_deadline_to_the_prune(rng, monkeypatch):
         solve(m, SolverConfig(epsilon=0.01, timeout_s=timeout_s))
         assert deadlines
         if timeout_s is None:
-            assert all(d == () for d in deadlines)
+            assert all(d == (math.inf,) for d in deadlines)
         else:
             assert all(start < d[0] <= time.monotonic() + timeout_s for d in deadlines)
 
@@ -378,9 +379,9 @@ def test_anytime_trial_epsilon_tracks_zeta_times_width(rng, monkeypatch):
     seen = []
     original = solver_module._trial
 
-    def spy(model, bounds, b, t, epsilon, t_max, deadline, width):
+    def spy(model, bounds, epsilon, t_max, deadline, width):
         seen.append((epsilon, width))
-        return original(model, bounds, b, t, epsilon, t_max, deadline, width)
+        return original(model, bounds, epsilon, t_max, deadline, width)
 
     monkeypatch.setattr(solver_module, "_trial", spy)
     res = solve_anytime(m, SolverConfig(epsilon=0.05, max_trials=4))
